@@ -150,9 +150,14 @@ def _replay_oracles(prefix: str, biases: list[float]) -> list[ReplayOracle]:
             batches.append(None)
         else:
             batches.append(load_examples_csv(path))
-    n = next((b.n for b in batches if b is not None), None)
-    if n is None:
+    widths = {b.n for b in batches if b is not None}
+    if not widths:
         raise JuntaLabError(f"all replay streams under prefix {prefix!r} are empty")
+    if len(widths) > 1:
+        raise JuntaLabError(
+            f"replay streams under prefix {prefix!r} have different widths {sorted(widths)}"
+        )
+    (n,) = widths
     empty = ExampleBatch(np.empty((0, n), dtype=np.int8), np.empty(0, dtype=np.int8))
     return [ReplayOracle(b if b is not None else empty, r) for b, r in zip(batches, biases)]
 

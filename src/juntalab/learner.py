@@ -19,7 +19,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,12 +31,13 @@ from .errors import (
     NoCoefficientFoundError,
 )
 from .measure import sigma
-from .sampling import (
+from .sampling import (  # noqa: F401  estimate_coefficient: perfbench/tracing.py wraps it here
     Example,
     ExampleBatch,
     bias_sample_size,
     estimate_bias,
     estimate_coefficient,
+    estimate_level_batch,
     hoeffding_sample_size,
     unknown_bias_accuracy,
 )
@@ -315,10 +315,9 @@ def find_one_relevant(
                 for size in range(1, params.s + 1)
             )
         batch = oracle.draw_batch(m)
-        for size in range(1, params.s + 1):
-            for S in combinations(candidates, size):
-                if abs(estimate_coefficient(batch, S, r)) > threshold:
-                    return S[0]
+        for S, value in estimate_level_batch(batch, params.s, r).items():
+            if abs(value) > threshold and exclude.isdisjoint(S):
+                return S[0]
     raise NoCoefficientFoundError(
         f"no coefficient above {threshold} across {t} oracles up to level {params.s}"
     )

@@ -85,22 +85,25 @@ def sample_batch(rv, rng: np.random.Generator, m: int, n: int | None = None) -> 
     rv = as_bias_vector(rv, n)
     p = (1.0 + rv) / 2.0
     out = np.empty((m, n), dtype=np.int8)
-    # chunked so a large request never materializes m*n float64 at once
+    # chunked so a large request never materializes m*n float64 at once; the
+    # comparison writes straight into the output, mapped 1/0 to 1/-1 in place
     chunk = 65536
-    start = 0
-    while start < m:
-        stop = min(start + chunk, m)
-        u = rng.random((stop - start, n))
-        out[start:stop] = np.where(u < p, 1, -1)
-        start = stop
+    u = np.empty((min(m, chunk), n))
+    for start in range(0, m, chunk):
+        block = out[start : start + chunk]
+        rng.random(out=u[: len(block)])
+        np.less(u[: len(block)], p, out=block.view(bool))
+        block *= 2
+        block -= 1
     return out
 
 
 def chi(S: Iterable[int], x: Sequence[int], rv) -> float:
     """Standardized character chi_S(x, r); the empty set gives 1."""
     rv = as_bias_vector(rv, len(x))
+    sig = sigma_vector(rv)
     out = 1.0
     for i in S:
         i = int(i)
-        out *= (float(x[i]) - rv[i]) / math.sqrt((1.0 - rv[i]) * (1.0 + rv[i]))
+        out *= (float(x[i]) - rv[i]) / sig[i]
     return float(out)

@@ -5,9 +5,19 @@ sizes come from Hoeffding bounds on the standardized characters, whose range
 grows like (2 / sigma)^|S|, hence the (2^|S| / (epsilon * sigma^|S|))^2
 factor in the calibration.
 
-Estimates accumulate in fixed example order with exactly rounded summation,
-so a batch scan and a per-subset call produce bit-identical values and a
-replayed example stream reproduces a run decision for decision.
+Every coefficient estimate comes from one moment engine.  For +/-1 data,
+
+    sum_t y_t prod_{i in S} (x_{t,i} - r_i)
+        = sum_{T subset S} prod_{i in S \\ T} (-r_i) * M_T,
+    M_T = sum_t y_t prod_{i in T} x_{t,i},
+
+and each M_T is an integer.  The engine computes the moments of every subset
+up to the needed size by float64 matrix products over fixed blocks of rows.
+All entries are +/-1, so every partial sum is an integer of magnitude at most
+m < 2^53 and the products are exact in any summation order.  One combine step
+then turns exact moments into an estimate with a fixed arithmetic order, so a
+batch scan and a per-subset call produce bit-identical values and a replayed
+example stream reproduces a run decision for decision.
 """
 
 from __future__ import annotations
@@ -242,12 +252,18 @@ def dump_examples_csv(batch: ExampleBatch, path) -> None:
 
 
 def load_examples_csv(path) -> ExampleBatch:
+    """Read a stream written by dump_examples_csv; every entry must be -1 or 1."""
     text = Path(path).read_text()
     if not text.strip():
         raise EmptySampleError(f"no examples in {path}")
-    data = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.int64, ndmin=2)
+    try:
+        data = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise InvalidParamsError(f"{path} is not a table of integers: {exc}") from None
     if data.shape[1] < 2:
         raise InvalidParamsError(f"{path} needs at least one sign column plus a label")
+    if not np.all((data == 1) | (data == -1)):
+        raise InvalidParamsError(f"{path} has entries other than -1 and 1")
     return ExampleBatch(data[:, :-1].astype(np.int8), data[:, -1].astype(np.int8))
 
 
@@ -288,20 +304,80 @@ def bias_sample_size(gamma: float, delta: float) -> int:
 # estimators
 
 
-def _coefficient_value(batch: ExampleBatch, S: Sequence[int], rv: np.ndarray) -> float:
-    terms = batch.labels_float
+# Each block of rows in the moment products holds at most this many float64
+# entries, so the engine's working memory does not grow with the sample size.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _next_products(w: np.ndarray, xt: np.ndarray, j: int) -> np.ndarray:
+    """Rows y * prod_{i in P} x_i for every j-subset P of the rows of xt, in
+    colex order, from w holding those of the (j-1)-subsets.
+
+    In colex order the j-subsets whose largest element is ``last`` form one
+    contiguous block, and their remainders are the first C(last, j-1)
+    (j-1)-subsets.
+    """
+    c, rows = xt.shape
+    out = np.empty((math.comb(c, j), rows))
+    for last in range(j - 1, c):
+        lo, cnt = math.comb(last, j), math.comb(last, j - 1)
+        np.multiply(w[:cnt], xt[last], out=out[lo : lo + cnt])
+    return out
+
+
+def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> list:
+    """Exact moments M_T of every column subset T with |T| <= s.
+
+    tables[0] is M_empty; for l >= 1, tables[l][p][i] is M_{P + {i}} where P
+    is the (l-1)-subset of colex rank p and i > max(P).  Working memory is
+    O(_CHUNK_ELEMS + C(n, s-1) * n) whatever the number of rows.
+    """
+    m, c = xs.shape
+    widths = [math.comb(c, j) for j in range(s)]
+    rows = max(1, _CHUNK_ELEMS // max(1, sum(widths) + c))
+    products = [np.zeros((width, c)) for width in widths]
+    for start in range(0, m, rows):
+        # one row per column, so each product extension writes whole rows
+        xt = xs[start : start + rows].T.astype(np.float64, order="C")
+        w = labels[start : start + rows].astype(np.float64)[None, :]
+        for j in range(1, s + 1):
+            products[j - 1] += w @ xt.T
+            if j < s:
+                w = _next_products(w, xt, j)
+    return [float(labels.sum(dtype=np.int64))] + [table.tolist() for table in products]
+
+
+def _moment(tables: list, T: Sequence[int]) -> float:
+    if not T:
+        return tables[0]
+    rank = sum(math.comb(i, b + 1) for b, i in enumerate(T[:-1]))
+    return tables[len(T)][rank][T[-1]]
+
+
+def _combine(tables: list, S: Sequence[int], rv: list, sig: list, m: int) -> float:
+    """The estimate (1/m) sum_t y_t chi_S(x_t, r) from exact moments.
+
+    Sums the expansion over T subset S in one fixed order, so every caller
+    gets the same bits for the same subset, bias and example block.
+    """
+    acc = 0.0
+    for mask in range(1 << len(S)):
+        term = _moment(tables, [i for b, i in enumerate(S) if mask >> b & 1])
+        for b, i in enumerate(S):
+            if not mask >> b & 1:
+                term *= -rv[i]
+        acc += term
     scale = 1.0
     for i in S:
-        terms = terms * (batch.xs_float[:, i] - rv[i])
-        scale *= math.sqrt((1.0 - rv[i]) * (1.0 + rv[i]))
-    if scale != 1.0:
-        terms = terms / scale
-    # exactly rounded sum in example order; replays agree bit for bit
-    return math.fsum(terms.tolist()) / batch.m
+        scale *= sig[i]
+    return acc / scale / m
 
 
 def estimate_coefficient(examples, S: Iterable[int], r) -> float:
-    """Empirical coefficient (1/m) sum_t label_t * chi_S(x_t, r)."""
+    """Empirical coefficient (1/m) sum_t label_t * chi_S(x_t, r).
+
+    Costs O(m * 2^|S|) for the moments of every subset of S.
+    """
     batch = _as_batch(examples)
     if batch.m == 0:
         raise EmptySampleError("coefficient estimation needs at least one example")
@@ -309,14 +385,17 @@ def estimate_coefficient(examples, S: Iterable[int], r) -> float:
     for i in S:
         if not 0 <= i < batch.n:
             raise DomainError(f"subset index {i} outside [0, {batch.n})")
-    rv = as_bias_vector(r, batch.n)
-    return _coefficient_value(batch, S, rv)
+    rv = as_bias_vector(r, batch.n)[S]
+    tables = _moment_tables(batch.xs[:, S], batch.labels, len(S))
+    return _combine(tables, range(len(S)), rv.tolist(), sigma_vector(rv).tolist(), batch.m)
 
 
 def estimate_level_batch(examples, s_max: int, r) -> dict[tuple[int, ...], float]:
     """Estimates for every subset of size 1..s_max, reusing one example block.
 
-    Each entry is computed by the identical arithmetic as a per-subset
+    Keys run by size, then in lexicographic order.  The moments of all
+    subsets come from one pass of exact integer-valued products, and each
+    entry is combined by the same arithmetic as a per-subset
     estimate_coefficient call, so the two paths agree bit for bit.
     """
     batch = _as_batch(examples)
@@ -325,11 +404,14 @@ def estimate_level_batch(examples, s_max: int, r) -> dict[tuple[int, ...], float
     if s_max < 1:
         raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
     rv = as_bias_vector(r, batch.n)
-    out: dict[tuple[int, ...], float] = {}
-    for size in range(1, min(s_max, batch.n) + 1):
-        for S in combinations(range(batch.n), size):
-            out[S] = _coefficient_value(batch, S, rv)
-    return out
+    top = min(s_max, batch.n)
+    tables = _moment_tables(batch.xs, batch.labels, top)
+    rl, sig = rv.tolist(), sigma_vector(rv).tolist()
+    return {
+        S: _combine(tables, S, rl, sig, batch.m)
+        for size in range(1, top + 1)
+        for S in combinations(range(batch.n), size)
+    }
 
 
 def estimate_bias(examples) -> float:
@@ -342,8 +424,7 @@ def estimate_bias(examples) -> float:
     batch = _as_batch(examples)
     if batch.m == 0 or batch.n == 0:
         raise EmptySampleError("bias estimation needs at least one example coordinate")
-    row_sums = batch.xs_float.sum(axis=1)
-    return math.fsum(row_sums.tolist()) / (batch.m * batch.n)
+    return int(batch.xs.sum(dtype=np.int64)) / (batch.m * batch.n)
 
 
 def unknown_bias_accuracy(alpha: float, card_s: int) -> float:
@@ -411,10 +492,9 @@ def chi_cross_coefficient(S: Iterable[int], T: Iterable[int], r, r_prime) -> flo
         return 0.0
     out = 1.0
     for i in T:
-        out *= math.sqrt((1.0 - _bias_at(r, i)) * (1.0 + _bias_at(r, i)))
+        out *= sigma(_bias_at(r, i))
     for i in S:
-        rp = _bias_at(r_prime, i)
-        out /= math.sqrt((1.0 - rp) * (1.0 + rp))
+        out /= sigma(_bias_at(r_prime, i))
     for i in S - T:
         out *= _bias_at(r, i) - _bias_at(r_prime, i)
     return out

@@ -1,3 +1,6 @@
+import math
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,21 @@ def parity_core(k):
             sign *= 1 if (idx >> b) & 1 else -1
         out.append(sign)
     return tuple(out)
+
+
+def fsum_coefficient(batch, S: Sequence[int], rv: np.ndarray) -> float:
+    """Reference estimate (1/m) sum_t label_t * chi_S(x_t, r): one exactly
+    rounded sum over the examples per subset, independent of the moment
+    engine in juntalab.sampling."""
+    terms = batch.labels_float
+    scale = 1.0
+    for i in S:
+        terms = terms * (batch.xs_float[:, i] - rv[i])
+        scale *= math.sqrt((1.0 - rv[i]) * (1.0 + rv[i]))
+    if scale != 1.0:
+        terms = terms / scale
+    # exactly rounded sum in example order; replays agree bit for bit
+    return math.fsum(terms.tolist()) / batch.m
 
 
 def majority_core(k):

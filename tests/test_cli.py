@@ -210,6 +210,18 @@ class TestLearn:
     def test_fn_required_without_replay(self):
         assert main(["learn", *LEARN_ARGS]) == 2
 
+    def test_replay_streams_of_different_widths(self, tmp_path, capsys):
+        (tmp_path / "mixed_oracle0.csv").write_text("1,-1,1\n-1,1,-1\n")
+        (tmp_path / "mixed_oracle1.csv").write_text("1,-1,1,1,-1\n-1,1,-1,1,1\n")
+        assert main(["learn", "--replay", str(tmp_path / "mixed"), *LEARN_ARGS]) == 2
+        assert "different widths" in capsys.readouterr().err
+
+    def test_replay_stream_with_non_sign_entries(self, tmp_path, capsys):
+        (tmp_path / "bad_oracle0.csv").write_text("1,0,5\n")
+        (tmp_path / "bad_oracle1.csv").write_text("1,-1,1\n")
+        assert main(["learn", "--replay", str(tmp_path / "bad"), *LEARN_ARGS]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_replay_streams_missing(self, tmp_path):
         assert main(["learn", "--replay", str(tmp_path / "ghost"), *LEARN_ARGS]) == 3
 

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import parity_core
+from conftest import fsum_coefficient, parity_core
 from juntalab import (
     BudgetExhaustedError,
     InvalidIndexError,
@@ -14,6 +15,7 @@ from juntalab import (
     LearnerParams,
     NoCoefficientFoundError,
     Oracle,
+    RecordingOracle,
     RestrictedOracle,
     check_constant,
     constancy_sample_size,
@@ -243,6 +245,32 @@ class TestFindOneRelevant:
             find_one_relevant(
                 [Oracle(par3, 0.5, master_seed=0)], p, exclude=frozenset({0, 1, 2})
             )
+
+    @pytest.mark.parametrize("exclude", [frozenset(), frozenset({1}), frozenset({4, 7})])
+    def test_first_hit_matches_brute_scan(self, exclude):
+        # oracle 0 sees nothing below level 3; at bias 0.5 every level-2
+        # coefficient inside {1, 4, 6} is 0.375, above the threshold, and
+        # every level-1 one is 0.2165, below it
+        f = Junta(8, (1, 4, 6), parity_core(3))
+        p = params_for(3, 2, 0.5, samples_per_coeff=4_000, threshold=0.3)
+        oracles = [
+            RecordingOracle(Oracle(f, r, master_seed=5, oracle_id=j))
+            for j, r in enumerate((0.0, 0.5))
+        ]
+        got = find_one_relevant(oracles, p, exclude=exclude)
+
+        hits = []
+        for oracle in oracles:
+            batch = oracle.recorded()
+            rv = np.full(8, oracle.bias)
+            for size in (1, 2):
+                for S in itertools.combinations(range(8), size):
+                    value = fsum_coefficient(batch, S, rv)
+                    assert abs(abs(value) - p.threshold) > 1e-9
+                    if abs(value) > p.threshold:
+                        hits.append(S)
+        assert len(hits) >= 3
+        assert got == next(S for S in hits if exclude.isdisjoint(S))[0]
 
     def test_no_coverage_requirement(self, par3):
         # a single oracle may be scanned even when s * t < k

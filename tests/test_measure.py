@@ -100,6 +100,17 @@ class TestSampling:
         xs = sample_batch(0.999, np.random.default_rng(2), 1000, n=2)
         assert xs.mean() > 0.99
 
+    def test_stream_pinned_across_chunks(self):
+        # the seeded streams that record, replay and the release gate rely on:
+        # one uniform per coordinate in row order, +1 exactly when u < (1 + r) / 2
+        rv = np.array([0.6, -0.4, 0.0, 0.25, -0.9])
+        m = 65536 + 17
+        got = sample_batch(rv, np.random.default_rng(21), m)
+        u = np.random.default_rng(21).random((m, 5))
+        want = np.where(u < (1.0 + rv) / 2.0, 1, -1).astype(np.int8)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+
 
 class TestChi:
     def test_empty_set(self):

@@ -1,10 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import parity_core, random_suite
+from conftest import fsum_coefficient, parity_core, random_suite
+from juntalab import sampling
 from juntalab import (
     BudgetExhaustedError,
     DomainError,
@@ -182,6 +186,13 @@ class TestRecordReplay:
         with pytest.raises(InvalidParamsError):
             load_examples_csv(path)
 
+    @pytest.mark.parametrize("text", ["1,0,5\n", "1,-1,1\n300,1,-1\n", "1,0.5,1\n", "1,-1\n1\n"])
+    def test_csv_entries_must_be_signs(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidParamsError):
+            load_examples_csv(path)
+
 
 class TestEstimateCoefficient:
     def test_empty_set_is_label_mean(self, and2):
@@ -232,10 +243,56 @@ class TestEstimateLevelBatch:
         for S, val in table.items():
             assert val == estimate_coefficient(batch, S, -0.35)
 
+    def test_keys_in_scan_order(self):
+        batch = Oracle(Junta(5, (1, 3), (-1, 1, 1, -1)), 0.2, master_seed=4).draw_batch(50)
+        keys = list(estimate_level_batch(batch, 3, 0.2))
+        want = [S for size in (1, 2, 3) for S in itertools.combinations(range(5), size)]
+        assert keys == want
+
     def test_smax_validated(self, and2):
         batch = Oracle(and2, 0.0, master_seed=0).draw_batch(5)
         with pytest.raises(InvalidParamsError):
             estimate_level_batch(batch, 0, 0.0)
+
+
+@st.composite
+def _engine_cases(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        rv = np.full(n, draw(st.floats(-0.95, 0.95)))
+    else:
+        rv = rng.uniform(-0.95, 0.95, size=n)
+    xs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n))
+    labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
+    size = draw(st.integers(0, min(3, n)))
+    S = tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
+    return ExampleBatch(xs, labels), rv, S, draw(st.integers(1, 97))
+
+
+class TestMomentEngine:
+    @given(_engine_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fsum_reference(self, case):
+        # a small block budget makes m span several blocks, most ending short
+        batch, rv, S, chunk_elems = case
+        with mock.patch.object(sampling, "_CHUNK_ELEMS", chunk_elems):
+            got = estimate_coefficient(batch, S, rv)
+            table = estimate_level_batch(batch, 3, rv)
+        assert abs(got - fsum_coefficient(batch, S, rv)) <= 1e-12
+        for T, val in table.items():
+            assert abs(val - fsum_coefficient(batch, T, rv)) <= 1e-12
+            assert val == estimate_coefficient(batch, T, rv)
+
+    def test_default_blocks_with_ragged_tail(self, and2):
+        # level 2 on 5 columns takes blocks of _CHUNK_ELEMS // (1 + 5 + 5) rows
+        m = 3 * (sampling._CHUNK_ELEMS // 11) + 17
+        batch = Oracle(and2, 0.3, master_seed=8).draw_batch(m)
+        rv = np.full(5, 0.3)
+        for S, val in estimate_level_batch(batch, 2, 0.3).items():
+            assert abs(val - fsum_coefficient(batch, S, rv)) <= 1e-12
 
 
 class TestEstimateBias:
