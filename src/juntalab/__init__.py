@@ -49,9 +49,8 @@ from .learner import (
     default_threshold,
     find_one_relevant,
     learn_junta,
-    simulate_restricted_draw,
 )
-from .measure import as_bias_vector, chi, density, sample, sample_batch, sigma, sigma_vector
+from .measure import as_bias_vector, chi, density, sample_batch, sigma, sigma_vector
 from .russo import (
     RootPoint,
     RootSet,
@@ -64,9 +63,7 @@ from .russo import (
     theorem1_witness,
 )
 from .sampling import (
-    Example,
     ExampleBatch,
-    EstimatorParams,
     Oracle,
     RecordingOracle,
     ReplayOracle,

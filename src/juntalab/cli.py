@@ -24,7 +24,8 @@ import numpy as np
 from .boolfn import Junta, random_junta
 from .errors import JuntaLabError
 from .fourier import (
-    biased_coefficient,
+    _subset_mask,
+    biased_spectrum,
     expectation_polynomial,
     level_weight,
     relevant_subsets,
@@ -93,8 +94,8 @@ def _cmd_spectrum(args) -> int:
     top = f.k if args.max_level is None else args.max_level
     if top < 0:
         raise JuntaLabError(f"--max-level must be nonnegative, got {top}")
-    subsets = list(relevant_subsets(f, top))
-    coeffs = [(S, biased_coefficient(f, S, r)) for S in subsets]
+    spec = biased_spectrum(f, r)
+    coeffs = [(S, float(spec[_subset_mask(f, S)])) for S in relevant_subsets(f, top)]
     if args.csv:
         lines = ["S,value"]
         lines += [f"{'|'.join(str(i) for i in S)},{v!r}" for S, v in coeffs]
@@ -250,9 +251,14 @@ def _cmd_bench(args) -> int:
     header = "n,k,s,trial,status,relevant,samples,wall_ms\n"
     done = 0
     if out.exists() and out.stat().st_size > 0:
-        existing = out.read_text().splitlines()
+        text = out.read_text()
+        existing = text.splitlines()
         if existing and existing[0] != header.strip():
             raise JuntaLabError(f"{out} exists but is not a bench output file")
+        if not text.endswith("\n"):
+            # the last row was cut short by an interrupted run: rerun it
+            existing.pop()
+            out.write_text(text[: text.rfind("\n") + 1])
         done = max(len(existing) - 1, 0)
     with out.open("a") as fh:
         if done == 0 and fh.tell() == 0:

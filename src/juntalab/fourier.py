@@ -2,7 +2,7 @@
 
 Everything is anchored to the uniform spectrum of the core, which is exact:
 each coefficient is an integer multiple of 2**-k.  Two identities drive the
-rest and both are used heavily by the calibrated estimators and the learner:
+rest of the exact analysis:
 
 * change of basis to bias r:
       fhat(S, r) = sigma_S * sum_{T superset S} fhat(T, 0) * r_{T \\ S}
@@ -117,40 +117,16 @@ def _subset_mask(f: Junta, S: Iterable[int]) -> int | None:
 
 
 def biased_coefficient(f: Junta, S: Iterable[int], r) -> float:
-    """Coefficient of chi_S under bias r via the change-of-basis sum over
-    supersets of S inside the relevant set.
+    """Coefficient of chi_S under bias r: the entry of biased_spectrum at the
+    mask of S.
 
     Subsets not contained in the relevant set have coefficient exactly 0.
     """
-    S = tuple(S)
     rv = as_bias_vector(r, f.n)
     mask = _subset_mask(f, S)
     if mask is None:
         return 0.0
-    nums = _relevant_numerators(f)
-    rr = rv[list(f.relevant)] if f.k else np.empty(0)
-    full = (1 << f.k) - 1
-    free = full ^ mask
-    total = 0.0
-    u = free
-    while True:
-        t_mask = mask | u
-        num = nums[t_mask]
-        if num:
-            w = float(num)
-            v = u
-            while v:
-                b = (v & -v).bit_length() - 1
-                w *= rr[b]
-                v &= v - 1
-            total += w
-        if u == 0:
-            break
-        u = (u - 1) & free
-    total /= 1 << f.k
-    for i in S:
-        total *= sigma(rv[int(i)])
-    return float(total)
+    return float(biased_spectrum(f, rv)[mask])
 
 
 def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Fraction:
@@ -182,8 +158,8 @@ def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Frac
 def biased_spectrum(f: Junta, r) -> np.ndarray:
     """All 2**k biased coefficients at once, indexed by relevant-subset mask.
 
-    Same change-of-basis identity as biased_coefficient, applied bit by bit:
-    one pass absorbs r_i into supersets, a second applies the sigma factors.
+    The change-of-basis identity applied bit by bit: one pass absorbs r_i
+    into supersets, a second applies the sigma factors.
     """
     rv = as_bias_vector(r, f.n)
     k = f.k

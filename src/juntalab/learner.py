@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .measure import sigma
 from .sampling import (  # noqa: F401  estimate_coefficient: perfbench/tracing.py wraps it here
-    Example,
     ExampleBatch,
     bias_sample_size,
     estimate_bias,
@@ -53,7 +53,6 @@ __all__ = [
     "default_threshold",
     "find_one_relevant",
     "learn_junta",
-    "simulate_restricted_draw",
 ]
 
 _CHUNK_CAP = 65536
@@ -127,13 +126,9 @@ class LearnReport:
         return out
 
 
-def default_threshold(params: LearnerParams, card_s: int) -> float:
-    """Detection floor alpha^(s/2) * (gamma/4)^k / 2.
-
-    Level-independent; card_s is accepted for interface stability.  Pure
-    formula evaluation, no range checks.
-    """
-    del card_s
+def default_threshold(params: LearnerParams) -> float:
+    """Detection floor alpha^(s/2) * (gamma/4)^k / 2, the same at every
+    level.  Pure formula evaluation, no range checks."""
     return params.alpha ** (params.s / 2.0) * (params.gamma / 4.0) ** params.k / 2.0
 
 
@@ -171,24 +166,6 @@ def _check_rho(rho: Mapping[int, int], n: int) -> dict[int, int]:
     return out
 
 
-def simulate_restricted_draw(oracle, rho: Mapping[int, int], attempt_budget: int) -> Example:
-    """Rejection-sample one example whose fixed coordinates match rho.
-
-    Draws one example at a time and returns the first match unchanged; raises
-    after attempt_budget raw draws.
-    """
-    rho = _check_rho(rho, oracle.n)
-    if attempt_budget < 1:
-        raise InvalidParamsError(f"attempt budget must be >= 1, got {attempt_budget}")
-    for _ in range(attempt_budget):
-        ex = oracle.draw()
-        if all(ex.x[var] == val for var, val in rho.items()):
-            return ex
-    raise BudgetExhaustedError(
-        f"no draw matched {len(rho)} fixed coordinates in {attempt_budget} attempts"
-    )
-
-
 def default_attempt_budget(alpha: float, rho_size: int, m: int, k: int, delta: float) -> int:
     """Raw attempts allowed per needed restricted draw:
     ceil((2/alpha)^|rho| * ln(m * k * 2^k / delta)) * 4."""
@@ -200,10 +177,10 @@ class RestrictedOracle:
     """Oracle view of the target restricted by rho, via chunked rejection.
 
     The accepted stream is exactly the subsequence of raw draws matching rho,
-    so single-draw and batched rejection see the same examples.  Batches may
-    overshoot by part of a chunk; every raw draw is counted at the base
-    oracle.  A draw_batch(m) call may spend at most m * b raw attempts where
-    b is the per-draw budget formula above.
+    whatever the chunk sizes.  Batches may overshoot by part of a chunk;
+    every raw draw is counted at the base oracle.  A draw_batch(m) call may
+    spend at most m * b raw attempts where b is the per-draw budget formula
+    above.
     """
 
     def __init__(self, inner, rho: Mapping[int, int], params: LearnerParams):
@@ -299,7 +276,7 @@ def find_one_relevant(
     if not candidates:
         raise InvalidParamsError("no candidate variables remain outside the exclusion set")
     threshold = (
-        params.threshold if params.threshold is not None else default_threshold(params, 1)
+        params.threshold if params.threshold is not None else default_threshold(params)
     )
     delta_coeff = params.delta / (t * n**params.s)
     if known_biases is not None:
@@ -327,28 +304,18 @@ def find_one_relevant(
 # the learner
 
 
-class _PhaseCounter:
-    def __init__(self, oracles: Sequence):
-        self._oracles = oracles
-        self.phases: dict[str, dict[int, int]] = {}
-
-    def measure(self, phase: str):
-        counter = self
-        before = [o.draws for o in counter._oracles]
-
-        class _Ctx:
-            def __enter__(self_inner):
-                return None
-
-            def __exit__(self_inner, *exc):
-                for j, o in enumerate(counter._oracles):
-                    diff = o.draws - before[j]
-                    if diff:
-                        bucket = counter.phases.setdefault(phase, {})
-                        bucket[j] = bucket.get(j, 0) + diff
-                return False
-
-        return _Ctx()
+@contextmanager
+def _count_draws(phases: dict[str, dict[int, int]], oracles: Sequence, phase: str):
+    """Add the draws each oracle serves inside the block to phases[phase]."""
+    before = [o.draws for o in oracles]
+    try:
+        yield
+    finally:
+        for j, o in enumerate(oracles):
+            diff = o.draws - before[j]
+            if diff:
+                bucket = phases.setdefault(phase, {})
+                bucket[j] = bucket.get(j, 0) + diff
 
 
 def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
@@ -363,7 +330,7 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
     t0 = time.perf_counter()
     t = len(oracles)
     params.validate(t, require_coverage=True)
-    counter = _PhaseCounter(oracles)
+    phases: dict[str, dict[int, int]] = {}
     sub_delta = params.delta / (max(params.k, 1) * (1 << params.k))
     sub_params = replace(params, delta=sub_delta)
 
@@ -372,18 +339,18 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
             status=status,
             relevant=tuple(V),
             table=table,
-            samples=counter.phases,
+            samples=phases,
             wall_ms=(time.perf_counter() - t0) * 1000.0,
         )
 
-    with counter.measure("bias_estimation"):
+    with _count_draws(phases, oracles, "bias_estimation"):
         biases = _working_biases(oracles, sub_params, sub_delta)
 
     V: list[int] = []
     while True:
         values: dict[int, int] = {}
         pending_rho: dict[int, int] | None = None
-        with counter.measure("constancy"):
+        with _count_draws(phases, oracles, "constancy"):
             try:
                 for bits in range(1 << len(V)):
                     rho = {V[b]: (1 if (bits >> b) & 1 else -1) for b in range(len(V))}
@@ -415,7 +382,7 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
             if not pending_rho
             else [RestrictedOracle(o, pending_rho, sub_params) for o in oracles]
         )
-        with counter.measure("coefficients"):
+        with _count_draws(phases, oracles, "coefficients"):
             try:
                 idx = find_one_relevant(
                     views,

@@ -19,7 +19,6 @@ __all__ = [
     "as_bias_vector",
     "chi",
     "density",
-    "sample",
     "sample_batch",
     "sigma",
     "sigma_vector",
@@ -64,22 +63,13 @@ def density(rv, x: Sequence[int]) -> float:
     return float(np.prod((1.0 + rv * x) / 2.0))
 
 
-def sample(rv, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """One assignment drawn from the r-biased measure.
-
-    Consumes exactly one uniform stream draw per coordinate, in index order,
-    so a fixed generator state yields a reproducible assignment.
-    """
-    if n is None:
-        n = len(np.atleast_1d(np.asarray(rv, dtype=np.float64)))
-    rv = as_bias_vector(rv, n)
-    u = rng.random(n)
-    return np.where(u < (1.0 + rv) / 2.0, 1, -1).astype(np.int8)
-
-
 def sample_batch(rv, rng: np.random.Generator, m: int, n: int | None = None) -> np.ndarray:
-    """(m, n) assignments, rows independent, same per-coordinate stream order
-    as repeated sample() calls."""
+    """(m, n) assignments from the r-biased measure, rows independent.
+
+    Consumes exactly one uniform stream draw per entry, row by row and in
+    index order within a row, so a fixed generator state yields the same
+    block however it is split into calls.
+    """
     if n is None:
         n = len(np.atleast_1d(np.asarray(rv, dtype=np.float64)))
     rv = as_bias_vector(rv, n)

@@ -12,12 +12,13 @@ threshold-based variable detection work.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .boolfn import Junta, degree
 from .errors import (
@@ -48,9 +49,7 @@ __all__ = [
     "theorem1_witness",
 ]
 
-ROOT_TOL = 1e-12  # simultaneous-iteration step convergence
 CLUSTER_TOL = 1e-8  # real parts closer than this are reported once
-MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -206,49 +205,18 @@ def squarefree_decomposition(p: DyadicPolynomial) -> list[tuple[int, DyadicPolyn
     return out
 
 
-def _durand_kerner(p: DyadicPolynomial) -> list[complex]:
-    """All complex roots of a squarefree polynomial by simultaneous iteration."""
-    d = p.degree
-    if d < 1:
-        return []
-    coeffs = [float(c / p.coeffs[-1]) for c in p.coeffs]  # monic
-
-    def val(z: complex) -> complex:
-        acc = complex(0.0)
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) if d >= 1 else 1.0
-    seed = 0.4 + 0.9j
-    zs = [radius * seed**i for i in range(1, d + 1)]
-    for _ in range(MAX_ITER):
-        step = 0.0
-        new = list(zs)
-        for i in range(d):
-            denom = complex(1.0)
-            for j in range(d):
-                if j != i:
-                    denom *= zs[i] - zs[j]
-            if denom == 0:
-                denom = complex(ROOT_TOL)
-            delta = val(zs[i]) / denom
-            new[i] = zs[i] - delta
-            step = max(step, abs(delta))
-        zs = new
-        if step < ROOT_TOL:
-            break
-    return zs
-
-
 def root_set(f: Junta, s: int) -> RootSet:
     """Real parts, inside (-1, 1), of roots of d/dr E_r[f] with multiplicity
     at least s.
 
     Multiplicities come from the exact squarefree factor structure (the same
     rational gcds behind gcd_chain), so only the root coordinates themselves
-    are numeric.  Nearby real parts are reported once at the clustering
-    tolerance; the multiplicity shown is the largest in the cluster.
+    are numeric: np.roots finds them as companion-matrix eigenvalues of each
+    squarefree factor.  Only real parts in (-1 + CLUSTER_TOL, 1 - CLUSTER_TOL)
+    are reported, so a root at exactly -1 or 1, which comes back a rounding
+    error inside the interval, is never taken for a critical bias.  Nearby
+    real parts are reported once at the clustering tolerance; the
+    multiplicity shown is the largest in the cluster.
     """
     if s < 1:
         raise InvalidParamsError(f"multiplicity bound must be >= 1, got {s}")
@@ -259,9 +227,9 @@ def root_set(f: Junta, s: int) -> RootSet:
     for mult, q in squarefree_decomposition(h):
         if mult < s:
             continue
-        for z in _durand_kerner(q):
+        for z in np.roots(q.as_floats()[::-1]).tolist():
             re = z.real
-            if -1.0 < re < 1.0:
+            if -1.0 + CLUSTER_TOL < re < 1.0 - CLUSTER_TOL:
                 raw.append(RootPoint(re, mult, abs(z.imag) <= CLUSTER_TOL))
     raw.sort(key=lambda pt: pt.re)
     merged: list[RootPoint] = []

@@ -42,8 +42,6 @@ from .errors import (
 from .measure import as_bias_vector, sample_batch, sigma, sigma_vector
 
 __all__ = [
-    "EstimatorParams",
-    "Example",
     "ExampleBatch",
     "Oracle",
     "RecordingOracle",
@@ -60,12 +58,6 @@ __all__ = [
     "load_examples_csv",
     "unknown_bias_accuracy",
 ]
-
-
-@dataclass(frozen=True)
-class Example:
-    x: tuple[int, ...]
-    label: int
 
 
 @dataclass
@@ -107,42 +99,11 @@ class ExampleBatch:
         return self._labels_float
 
     @classmethod
-    def from_examples(cls, examples: Iterable[Example]) -> "ExampleBatch":
-        rows = list(examples)
-        if not rows:
-            raise EmptySampleError("no examples given")
-        xs = np.array([e.x for e in rows], dtype=np.int8)
-        labels = np.array([e.label for e in rows], dtype=np.int8)
-        return cls(xs, labels)
-
-    def to_examples(self) -> list[Example]:
-        return [
-            Example(tuple(int(v) for v in row), int(lab))
-            for row, lab in zip(self.xs, self.labels)
-        ]
-
-    @classmethod
     def concat(cls, parts: Sequence["ExampleBatch"]) -> "ExampleBatch":
         return cls(
             np.concatenate([p.xs for p in parts], axis=0),
             np.concatenate([p.labels for p in parts]),
         )
-
-
-def _as_batch(examples) -> ExampleBatch:
-    if isinstance(examples, ExampleBatch):
-        return examples
-    return ExampleBatch.from_examples(examples)
-
-
-@dataclass(frozen=True)
-class EstimatorParams:
-    """Accuracy / confidence knobs shared by the estimator entry points."""
-
-    epsilon: float
-    delta: float
-    alpha: float = 1.0
-    gamma: float | None = None
 
 
 class Oracle:
@@ -177,10 +138,6 @@ class Oracle:
         self.draws += m
         return ExampleBatch(xs, labels)
 
-    def draw(self) -> Example:
-        batch = self.draw_batch(1)
-        return Example(tuple(int(v) for v in batch.xs[0]), int(batch.labels[0]))
-
 
 class RecordingOracle:
     """Transparent wrapper that keeps every served example for later dumping."""
@@ -205,10 +162,6 @@ class RecordingOracle:
         batch = self.inner.draw_batch(m)
         self.parts.append(batch)
         return batch
-
-    def draw(self) -> Example:
-        batch = self.draw_batch(1)
-        return Example(tuple(int(v) for v in batch.xs[0]), int(batch.labels[0]))
 
     def recorded(self) -> ExampleBatch:
         if not self.parts:
@@ -239,10 +192,6 @@ class ReplayOracle:
         self._pos += m
         self.draws += m
         return ExampleBatch(self._batch.xs[sl], self._batch.labels[sl])
-
-    def draw(self) -> Example:
-        batch = self.draw_batch(1)
-        return Example(tuple(int(v) for v in batch.xs[0]), int(batch.labels[0]))
 
 
 def dump_examples_csv(batch: ExampleBatch, path) -> None:
@@ -373,12 +322,11 @@ def _combine(tables: list, S: Sequence[int], rv: list, sig: list, m: int) -> flo
     return acc / scale / m
 
 
-def estimate_coefficient(examples, S: Iterable[int], r) -> float:
+def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r) -> float:
     """Empirical coefficient (1/m) sum_t label_t * chi_S(x_t, r).
 
     Costs O(m * 2^|S|) for the moments of every subset of S.
     """
-    batch = _as_batch(examples)
     if batch.m == 0:
         raise EmptySampleError("coefficient estimation needs at least one example")
     S = sorted(int(i) for i in S)
@@ -390,7 +338,7 @@ def estimate_coefficient(examples, S: Iterable[int], r) -> float:
     return _combine(tables, range(len(S)), rv.tolist(), sigma_vector(rv).tolist(), batch.m)
 
 
-def estimate_level_batch(examples, s_max: int, r) -> dict[tuple[int, ...], float]:
+def estimate_level_batch(batch: ExampleBatch, s_max: int, r) -> dict[tuple[int, ...], float]:
     """Estimates for every subset of size 1..s_max, reusing one example block.
 
     Keys run by size, then in lexicographic order.  The moments of all
@@ -398,7 +346,6 @@ def estimate_level_batch(examples, s_max: int, r) -> dict[tuple[int, ...], float
     entry is combined by the same arithmetic as a per-subset
     estimate_coefficient call, so the two paths agree bit for bit.
     """
-    batch = _as_batch(examples)
     if batch.m == 0:
         raise EmptySampleError("coefficient estimation needs at least one example")
     if s_max < 1:
@@ -414,14 +361,13 @@ def estimate_level_batch(examples, s_max: int, r) -> dict[tuple[int, ...], float
     }
 
 
-def estimate_bias(examples) -> float:
+def estimate_bias(batch: ExampleBatch) -> float:
     """Pooled mean of every coordinate of every example.
 
     All coordinates share one bias in the learning model, so pooling across
     coordinates tightens the estimate by a factor sqrt(n) over the
     single-coordinate calibration that sizes the sample.
     """
-    batch = _as_batch(examples)
     if batch.m == 0 or batch.n == 0:
         raise EmptySampleError("bias estimation needs at least one example coordinate")
     return int(batch.xs.sum(dtype=np.int64)) / (batch.m * batch.n)

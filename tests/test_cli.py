@@ -273,13 +273,16 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(full)]) == 0
         want = full.read_text().splitlines()
 
-        partial = tmp_path / "partial.csv"
-        partial.write_text("\n".join(want[:2]) + "\n")
-        assert main(["bench", "--config", cfg, "--out", str(partial)]) == 0
-        got = partial.read_text().splitlines()
-        assert [row.rsplit(",", 1)[0] for row in got] == [
-            row.rsplit(",", 1)[0] for row in want
-        ]
+        # a clean cut after a row, and a last row cut short mid-write
+        clean = "\n".join(want[:2]) + "\n"
+        for head in [clean, clean + want[2][:12]]:
+            partial = tmp_path / "partial.csv"
+            partial.write_text(head)
+            assert main(["bench", "--config", cfg, "--out", str(partial)]) == 0
+            got = partial.read_text().splitlines()
+            assert [row.rsplit(",", 1)[0] for row in got] == [
+                row.rsplit(",", 1)[0] for row in want
+            ]
 
     def test_foreign_file_rejected(self, tmp_path):
         out = tmp_path / "notes.csv"

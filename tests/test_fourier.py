@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_suite
 from juntalab import (
+    DomainError,
     DyadicPolynomial,
     InvalidParamsError,
     Junta,
@@ -94,6 +95,9 @@ class TestBiasedCoefficient:
     def test_outside_relevant_is_zero(self, and2):
         assert biased_coefficient(and2, (1,), 0.5) == 0.0
         assert biased_coefficient(and2, (0, 1), 0.3) == 0.0
+        # the bias is validated whether or not S meets the relevant set
+        with pytest.raises(DomainError):
+            biased_coefficient(and2, (1,), 1.0)
 
     def test_vector_bias(self, and2):
         rv = np.zeros(5)

@@ -23,7 +23,6 @@ from juntalab import (
     default_threshold,
     find_one_relevant,
     learn_junta,
-    simulate_restricted_draw,
 )
 
 
@@ -77,17 +76,13 @@ class TestParams:
 class TestDefaultThreshold:
     def test_frozen_point(self):
         p = params_for(3, 1, 0.5, gamma=0.4)
-        got = default_threshold(p, 1)
+        got = default_threshold(p)
         assert got == pytest.approx(math.sqrt(0.5) * 0.1**3 / 2, rel=1e-12)
         assert round(got, 7) == 0.0003536
 
     def test_degenerate_point(self):
         p = params_for(1, 1, 1.0, gamma=4.0)
-        assert default_threshold(p, 1) == 0.5
-
-    def test_level_independent(self):
-        p = params_for(4, 2, 0.7, gamma=0.3)
-        assert default_threshold(p, 1) == default_threshold(p, 2)
+        assert default_threshold(p) == 0.5
 
 
 class TestCheckConstant:
@@ -119,35 +114,6 @@ class TestCheckConstant:
 
 
 class TestRestrictedDraw:
-    def test_empty_rho_passthrough(self, and2):
-        a = Oracle(and2, 0.2, master_seed=9)
-        b = Oracle(and2, 0.2, master_seed=9)
-        assert simulate_restricted_draw(a, {}, 10) == b.draw()
-
-    def test_match(self, and2):
-        oracle = Oracle(and2, 0.0, master_seed=3)
-        rho = {0: 1, 2: -1}
-        for _ in range(20):
-            ex = simulate_restricted_draw(oracle, rho, 1000)
-            assert ex.x[0] == 1 and ex.x[2] == -1
-            assert ex.label == and2.eval(ex.x)
-
-    def test_starvation(self):
-        f = Junta(8, (0,), (-1, 1))
-        oracle = Oracle(f, -0.9, master_seed=1)
-        rho = {i: 1 for i in range(6)}
-        with pytest.raises(BudgetExhaustedError):
-            simulate_restricted_draw(oracle, rho, 1)
-
-    def test_rho_validation(self, and2):
-        oracle = Oracle(and2, 0.0, master_seed=0)
-        with pytest.raises(InvalidIndexError):
-            simulate_restricted_draw(oracle, {9: 1}, 10)
-        with pytest.raises(InvalidParamsError):
-            simulate_restricted_draw(oracle, {0: 2}, 10)
-        with pytest.raises(InvalidParamsError):
-            simulate_restricted_draw(oracle, {0: 1}, 0)
-
     def test_budget_formula(self):
         for alpha, size, m, k, delta in [(0.5, 2, 100, 3, 0.1), (1.0, 0, 1, 0, 0.5)]:
             want = math.ceil((2.0 / alpha) ** size * math.log(m * max(k, 1) * 2**k / delta)) * 4
@@ -199,6 +165,14 @@ class TestRestrictedOracle:
         view = RestrictedOracle(Oracle(f, -0.8, master_seed=0), rho, p)
         with pytest.raises(BudgetExhaustedError):
             view.draw_batch(5)
+
+    def test_rho_validation(self, and2):
+        p = params_for(2, 1, 0.5)
+        oracle = Oracle(and2, 0.0, master_seed=0)
+        with pytest.raises(InvalidIndexError):
+            RestrictedOracle(oracle, {9: 1}, p)
+        with pytest.raises(InvalidParamsError):
+            RestrictedOracle(oracle, {0: 2}, p)
 
 
 class TestFindOneRelevant:

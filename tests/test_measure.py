@@ -11,7 +11,6 @@ from juntalab import (
     assignments,
     chi,
     density,
-    sample,
     sample_batch,
     sigma,
     sigma_vector,
@@ -80,11 +79,6 @@ class TestDensity:
 
 
 class TestSampling:
-    def test_deterministic(self):
-        a = sample(0.3, np.random.default_rng(5), n=6)
-        b = sample(0.3, np.random.default_rng(5), n=6)
-        assert np.array_equal(a, b)
-
     def test_batch_shape_and_values(self):
         xs = sample_batch([0.2, -0.2, 0.0], np.random.default_rng(1), 100)
         assert xs.shape == (100, 3)

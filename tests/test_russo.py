@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf, polyroots
 
 from conftest import parity_core, random_suite
 from juntalab import (
@@ -26,7 +27,7 @@ from juntalab import (
     squarefree_decomposition,
     theorem1_witness,
 )
-from juntalab.russo import gcd_chain, poly_gcd
+from juntalab.russo import CLUSTER_TOL, gcd_chain, poly_gcd
 
 F = Fraction
 
@@ -208,6 +209,37 @@ class TestRootSet:
                         continue
                     for u in range(1, s + 1):
                         assert abs(level_weight(f, u, pt.re)) <= 1e-6
+
+
+def core_from_bits(bits):
+    return tuple(1 if b == "1" else -1 for b in bits)
+
+
+class TestBoundaryRoots:
+    # derivatives with a root whose real part is exactly -1 or 1: a conjugate
+    # pair with real part -1, h(1) = 0 and h(-1) = 0
+    JUNTAS = [
+        random_junta(7, 5, 291444680, require_nonconstant=True),
+        Junta(6, (2, 3, 4, 5), core_from_bits("1100100010001000")),
+        Junta(6, (0, 2, 3, 4), core_from_bits("1110110010010010")),
+    ]
+
+    def test_not_reported_as_critical_biases(self):
+        mp.dps = 40
+        for f in self.JUNTAS:
+            h = poly_derivative(expectation_polynomial(f), 1)
+            exact = []
+            for _, q in squarefree_decomposition(h):
+                coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in reversed(q.coeffs)]
+                exact.extend(float(z.real) for z in polyroots(coeffs, maxsteps=200, extraprec=60))
+            assert any(abs(abs(e) - 1.0) <= 1e-12 for e in exact)
+            rs = root_set(f, 1)
+            for pt in rs.points:
+                assert -1.0 + CLUSTER_TOL < pt.re < 1.0 - CLUSTER_TOL
+                assert min(abs(pt.re - e) for e in exact) <= 1e-8
+            for e in exact:
+                if -1.0 + 1e-6 < e < 1.0 - 1e-6:
+                    assert min((abs(pt.re - e) for pt in rs.points), default=math.inf) <= 1e-8
 
 
 class TestWitness:

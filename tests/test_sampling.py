@@ -13,7 +13,6 @@ from juntalab import (
     BudgetExhaustedError,
     DomainError,
     EmptySampleError,
-    Example,
     ExampleBatch,
     InvalidParamsError,
     Junta,
@@ -93,16 +92,6 @@ class TestExampleBatch:
         with pytest.raises(InvalidParamsError):
             ExampleBatch(np.ones(3), np.ones(3))
 
-    def test_from_examples(self):
-        batch = ExampleBatch.from_examples([Example((1, -1), 1), Example((-1, 1), -1)])
-        assert batch.m == 2
-        assert batch.n == 2
-        assert batch.to_examples() == [Example((1, -1), 1), Example((-1, 1), -1)]
-
-    def test_from_empty(self):
-        with pytest.raises(EmptySampleError):
-            ExampleBatch.from_examples([])
-
     def test_concat(self):
         a = ExampleBatch(np.ones((2, 3), dtype=np.int8), np.ones(2, dtype=np.int8))
         b = ExampleBatch(-np.ones((1, 3), dtype=np.int8), -np.ones(1, dtype=np.int8))
@@ -130,7 +119,7 @@ class TestOracle:
     def test_draw_counting(self, and2):
         oracle = Oracle(and2, 0.0, master_seed=1)
         oracle.draw_batch(10)
-        oracle.draw()
+        oracle.draw_batch(1)
         assert oracle.draws == 11
 
     def test_bias_domain(self, and2):
@@ -147,7 +136,7 @@ class TestRecordReplay:
         rec = RecordingOracle(Oracle(and2, 0.25, master_seed=11))
         rec.draw_batch(7)
         rec.draw_batch(3)
-        rec.draw()
+        rec.draw_batch(1)
         assert rec.draws == 11
         stream = rec.recorded()
         assert stream.m == 11
