@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from fractions import Fraction
 from itertools import product
@@ -214,6 +215,8 @@ def _as_list(value) -> list:
 
 def _cmd_bench(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise JuntaLabError("bench config must be a JSON object")
     try:
         ns = [int(v) for v in _as_list(cfg["n"])]
         ks = [int(v) for v in _as_list(cfg["k"])]
@@ -224,17 +227,20 @@ def _cmd_bench(args) -> int:
         alpha = float(cfg["alpha"])
         gamma = float(cfg["gamma"])
         delta = float(cfg["delta"])
+        spc = cfg.get("samples_per_coeff")
+        spc = None if spc is None else operator.index(spc)
+        thr = cfg.get("threshold")
+        thr = None if thr is None else float(thr)
     except KeyError as exc:
         raise JuntaLabError(f"bench config is missing key {exc.args[0]!r}") from None
-    spc = cfg.get("samples_per_coeff")
-    thr = cfg.get("threshold")
+    except (TypeError, ValueError) as exc:
+        raise JuntaLabError(f"malformed bench config: {exc}") from None
     unknown = bool(cfg.get("unknown_biases", False))
     if len(set(biases)) != len(biases):
         raise JuntaLabError("bench biases must be pairwise distinct")
-    cells = list(product(ns, ks, ss))
-    for n, k, s in cells:
-        # fail before touching the output file
-        LearnerParams(
+    cells = []
+    for n, k, s in product(ns, ks, ss):
+        params = LearnerParams(
             k=k,
             s=s,
             alpha=alpha,
@@ -243,9 +249,12 @@ def _cmd_bench(args) -> int:
             threshold=thr,
             samples_per_coeff=spc,
             unknown_biases=unknown,
-        ).validate(len(biases), require_coverage=True)
+        )
+        # fail before touching the output file
+        params.validate(len(biases), require_coverage=True)
         if k > n:
             raise JuntaLabError(f"bench cell has k={k} > n={n}")
+        cells.append((n, k, s, params))
 
     out = Path(args.out)
     header = "n,k,s,trial,status,relevant,samples,wall_ms\n"
@@ -265,17 +274,7 @@ def _cmd_bench(args) -> int:
             fh.write(header)
             fh.flush()
         row_idx = 0
-        for ci, (n, k, s) in enumerate(cells):
-            params = LearnerParams(
-                k=k,
-                s=s,
-                alpha=alpha,
-                gamma=gamma,
-                delta=delta,
-                threshold=thr,
-                samples_per_coeff=spc,
-                unknown_biases=unknown,
-            )
+        for ci, (n, k, s, params) in enumerate(cells):
             for trial in range(trials):
                 if row_idx < done:
                     row_idx += 1

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
 from .boolfn import Junta, assignments, walsh_numerators
-from .errors import DomainError, InvalidParamsError, LengthMismatchError, SizeLimitError
+from .errors import DomainError, InvalidParamsError
 from .measure import as_bias_vector, sigma, sigma_vector
 
 __all__ = [
@@ -82,19 +82,10 @@ class DyadicPolynomial:
         return [float(c) for c in self.coeffs]
 
 
-FunctionLike = Union[Junta, np.ndarray, Sequence[float]]
-
-
-def _relevant_numerators(f: Junta) -> list[int]:
-    # W[mask]/2**k is the uniform coefficient of the subset of relevant
-    # variables selected by mask
-    return walsh_numerators(f.core)
-
-
 def uniform_coefficients(f: Junta) -> dict[tuple[int, ...], Fraction]:
     """Exact uniform-measure coefficients, keyed by sorted subsets of the
     relevant variables.  All 2**k subsets appear, zeros included."""
-    nums = _relevant_numerators(f)
+    nums = walsh_numerators(f.core)
     denom = 1 << f.k
     out: dict[tuple[int, ...], Fraction] = {}
     for mask, num in enumerate(nums):
@@ -140,7 +131,7 @@ def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Frac
     mask = _subset_mask(f, S)
     if mask is None:
         return Fraction(0)
-    nums = _relevant_numerators(f)
+    nums = walsh_numerators(f.core)
     full = (1 << f.k) - 1
     free = full ^ mask
     total = Fraction(0)
@@ -163,7 +154,7 @@ def biased_spectrum(f: Junta, r) -> np.ndarray:
     """
     rv = as_bias_vector(r, f.n)
     k = f.k
-    out = np.asarray(_relevant_numerators(f), dtype=np.float64) / (1 << k)
+    out = np.asarray(walsh_numerators(f.core), dtype=np.float64) / (1 << k)
     if k == 0:
         return out
     rr = rv[list(f.relevant)]
@@ -179,28 +170,15 @@ def biased_spectrum(f: Junta, r) -> np.ndarray:
 
 
 def dense_table(f: Junta) -> np.ndarray:
-    """f evaluated on the full cube in assignment-index order (n <= 14)."""
-    if f.n > 14:
-        raise SizeLimitError(f"dense tables are capped at n <= 14, got n={f.n}")
+    """A junta evaluated on the full cube in assignment-index order (n <= 14)."""
     return f.eval_batch(assignments(f.n)).astype(np.float64)
 
 
-def _coerce_table(f: FunctionLike) -> tuple[np.ndarray, int]:
-    if isinstance(f, Junta):
-        return dense_table(f), f.n
-    table = np.asarray(f, dtype=np.float64)
-    if table.ndim != 1 or table.size == 0 or table.size & (table.size - 1):
-        raise LengthMismatchError("dense table length must be a power of two")
-    n = table.size.bit_length() - 1
-    if n > 14:
-        raise SizeLimitError(f"dense tables are capped at n <= 14, got n={n}")
-    return table, n
-
-
-def biased_coefficient_bruteforce(f: FunctionLike, S: Iterable[int], r) -> float:
-    """Independent check of biased_coefficient by full enumeration: the
-    density-weighted inner product of f with chi_S over all 2**n points."""
-    table, n = _coerce_table(f)
+def biased_coefficient_bruteforce(f: Junta, S: Iterable[int], r) -> float:
+    """Independent check of biased_coefficient for a junta by full
+    enumeration (n <= 14): the density-weighted inner product of f with
+    chi_S over all 2**n points."""
+    table, n = dense_table(f), f.n
     S = [int(i) for i in S]
     for i in S:
         if not 0 <= i < n:
@@ -215,47 +193,18 @@ def biased_coefficient_bruteforce(f: FunctionLike, S: Iterable[int], r) -> float
     return float(np.dot(dens * table, col))
 
 
-def _biased_transform_dense(table: np.ndarray, rv: np.ndarray) -> np.ndarray:
-    """All biased coefficients of a dense table via per-coordinate butterflies.
-
-    Output is indexed by subset mask in the same bit convention as
-    assignments().  Used by the dense parseval path only, so that it stays
-    independent of the junta change-of-basis route.
-    """
-    n = rv.size
-    out = table.astype(np.float64).copy()
-    sig = sigma_vector(rv)
-    for b in range(n):
-        shape = out.reshape(-1, 2, 1 << b)
-        lo = shape[:, 0, :].copy()  # x_b = -1
-        hi = shape[:, 1, :].copy()  # x_b = +1
-        p_lo = (1.0 - rv[b]) / 2.0
-        p_hi = (1.0 + rv[b]) / 2.0
-        shape[:, 0, :] = p_lo * lo + p_hi * hi
-        shape[:, 1, :] = p_lo * ((-1.0 - rv[b]) / sig[b]) * lo + p_hi * ((1.0 - rv[b]) / sig[b]) * hi
-    return out
-
-
-def parseval_sum(f: FunctionLike, r) -> float:
-    """Sum of squared biased coefficients.
-
-    Juntas use the exact-spectrum route (k <= 20); dense tables are fully
-    transformed (n <= 14).  For a +/-1-valued function the sum is 1.
-    """
-    if isinstance(f, Junta):
-        spec = biased_spectrum(f, r)
-        return float(np.dot(spec, spec))
-    table, n = _coerce_table(f)
-    rv = as_bias_vector(r, n)
-    spec = _biased_transform_dense(table, rv)
-    return float(np.dot(spec.ravel(), spec.ravel()))
+def parseval_sum(f: Junta, r) -> float:
+    """Sum of the squared biased coefficients of a junta, from its exact
+    spectrum (k <= 20).  For a +/-1-valued function the sum is 1."""
+    spec = biased_spectrum(f, r)
+    return float(np.dot(spec, spec))
 
 
 @lru_cache(maxsize=4096)
 def expectation_polynomial(f: Junta) -> DyadicPolynomial:
     """E_r[f] as an exact polynomial in a uniform bias r: coefficient t is
     the level-t weight of the uniform spectrum."""
-    nums = _relevant_numerators(f)
+    nums = walsh_numerators(f.core)
     denom = 1 << f.k
     coeffs = [Fraction(0)] * (f.k + 1)
     for mask, num in enumerate(nums):

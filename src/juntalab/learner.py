@@ -272,8 +272,7 @@ def find_one_relevant(
     t = len(oracles)
     params.validate(t, require_coverage=False)
     n = oracles[0].n
-    candidates = [i for i in range(n) if i not in exclude]
-    if not candidates:
+    if exclude.issuperset(range(n)):
         raise InvalidParamsError("no candidate variables remain outside the exclusion set")
     threshold = (
         params.threshold if params.threshold is not None else default_threshold(params)

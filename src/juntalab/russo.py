@@ -39,7 +39,6 @@ __all__ = [
     "RootPoint",
     "RootSet",
     "Witness",
-    "gcd_chain",
     "poly_derivative",
     "poly_gcd",
     "root_set",
@@ -120,60 +119,39 @@ def _monic(p: DyadicPolynomial) -> DyadicPolynomial:
     return DyadicPolynomial(tuple(c / lead for c in p.coeffs))
 
 
-def _poly_mod(a: DyadicPolynomial, b: DyadicPolynomial) -> DyadicPolynomial:
+def _poly_divmod(
+    a: DyadicPolynomial, b: DyadicPolynomial
+) -> tuple[DyadicPolynomial, DyadicPolynomial]:
+    """Exact long division: (quotient, remainder) with deg(remainder) < deg(b)."""
     if b.is_zero():
-        raise ZeroDivisionError("polynomial modulo by zero")
+        raise ZeroDivisionError("polynomial division by zero")
     rem = list(a.coeffs)
     db, lead = b.degree, b.coeffs[-1]
+    quo = [Fraction(0)] * max(a.degree - db + 1, 0)
     while len(rem) - 1 >= db and rem:
         q = rem[-1] / lead
         shift = len(rem) - 1 - db
+        quo[shift] = q
         for i, c in enumerate(b.coeffs):
             rem[shift + i] -= q * c
-        rem.pop()
         while rem and rem[-1] == 0:
             rem.pop()
-    return DyadicPolynomial(tuple(rem))
+    return DyadicPolynomial(tuple(quo)), DyadicPolynomial(tuple(rem))
 
 
 def _poly_divexact(a: DyadicPolynomial, b: DyadicPolynomial) -> DyadicPolynomial:
     """Quotient when b divides a exactly."""
-    rem = list(a.coeffs)
-    db, lead = b.degree, b.coeffs[-1]
-    out = [Fraction(0)] * max(a.degree - db + 1, 0)
-    while len(rem) - 1 >= db and rem:
-        q = rem[-1] / lead
-        shift = len(rem) - 1 - db
-        out[shift] = q
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    if any(c != 0 for c in rem):
+    quo, rem = _poly_divmod(a, b)
+    if not rem.is_zero():
         raise InvalidParamsError("exact polynomial division left a remainder")
-    return DyadicPolynomial(tuple(out))
+    return quo
 
 
 def poly_gcd(a: DyadicPolynomial, b: DyadicPolynomial) -> DyadicPolynomial:
     """Monic gcd over the rationals (Euclid, exact)."""
     while not b.is_zero():
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return _monic(a)
-
-
-def gcd_chain(h: DyadicPolynomial, s: int) -> DyadicPolynomial:
-    """gcd(h, h', ..., h^(s-1)); its roots are exactly the roots of h with
-    multiplicity at least s."""
-    if s < 1:
-        raise InvalidParamsError(f"multiplicity bound must be >= 1, got {s}")
-    g = _monic(h)
-    d = h
-    for _ in range(s - 1):
-        if g.degree < 1:
-            break
-        d = poly_derivative(d, 1)
-        g = poly_gcd(g, d)
-    return g
 
 
 def _poly_sub(a: DyadicPolynomial, b: DyadicPolynomial) -> DyadicPolynomial:
@@ -209,8 +187,8 @@ def root_set(f: Junta, s: int) -> RootSet:
     """Real parts, inside (-1, 1), of roots of d/dr E_r[f] with multiplicity
     at least s.
 
-    Multiplicities come from the exact squarefree factor structure (the same
-    rational gcds behind gcd_chain), so only the root coordinates themselves
+    Multiplicities come from the exact squarefree factor structure (Yun's
+    algorithm over the rationals), so only the root coordinates themselves
     are numeric: np.roots finds them as companion-matrix eigenvalues of each
     squarefree factor.  Only real parts in (-1 + CLUSTER_TOL, 1 - CLUSTER_TOL)
     are reported, so a root at exactly -1 or 1, which comes back a rounding

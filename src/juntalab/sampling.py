@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,7 +37,6 @@ from .errors import (
     DomainError,
     EmptySampleError,
     InvalidParamsError,
-    SizeLimitError,
 )
 from .measure import as_bias_vector, sample_batch, sigma, sigma_vector
 
@@ -66,8 +65,6 @@ class ExampleBatch:
 
     xs: np.ndarray
     labels: np.ndarray
-    _xs_float: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _labels_float: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.xs = np.asarray(self.xs)
@@ -85,18 +82,6 @@ class ExampleBatch:
 
     def __len__(self) -> int:
         return self.m
-
-    @property
-    def xs_float(self) -> np.ndarray:
-        if self._xs_float is None:
-            self._xs_float = self.xs.astype(np.float64)
-        return self._xs_float
-
-    @property
-    def labels_float(self) -> np.ndarray:
-        if self._labels_float is None:
-            self._labels_float = self.labels.astype(np.float64)
-        return self._labels_float
 
     @classmethod
     def concat(cls, parts: Sequence["ExampleBatch"]) -> "ExampleBatch":
@@ -449,15 +434,13 @@ def chi_cross_coefficient(S: Iterable[int], T: Iterable[int], r, r_prime) -> flo
 def chi_l2_distance(S: Iterable[int], r, r_prime, n: int) -> float:
     """L2 distance under the r-biased measure between chi_S at the two
     biases, by exact enumeration of the cube (n <= 14)."""
-    if n > 14:
-        raise SizeLimitError(f"exact enumeration is capped at n <= 14, got {n}")
+    X = assignments(n).astype(np.float64)
     S = sorted(int(i) for i in S)
     for i in S:
         if not 0 <= i < n:
             raise DomainError(f"subset index {i} outside [0, {n})")
     rv = as_bias_vector(r, n)
     rpv = as_bias_vector(r_prime, n)
-    X = assignments(n).astype(np.float64)
     dens = np.prod((1.0 + X * rv) / 2.0, axis=1)
     sig = sigma_vector(rv)
     sig_p = sigma_vector(rpv)

@@ -33,10 +33,10 @@ def fsum_coefficient(batch, S: Sequence[int], rv: np.ndarray) -> float:
     """Reference estimate (1/m) sum_t label_t * chi_S(x_t, r): one exactly
     rounded sum over the examples per subset, independent of the moment
     engine in juntalab.sampling."""
-    terms = batch.labels_float
+    terms = batch.labels.astype(np.float64)
     scale = 1.0
     for i in S:
-        terms = terms * (batch.xs_float[:, i] - rv[i])
+        terms = terms * (batch.xs[:, i].astype(np.float64) - rv[i])
         scale *= math.sqrt((1.0 - rv[i]) * (1.0 + rv[i]))
     if scale != 1.0:
         terms = terms / scale

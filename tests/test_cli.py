@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,10 +106,16 @@ class TestSpectrum:
     def test_missing_file(self, tmp_path):
         assert main(["spectrum", "--fn", str(tmp_path / "nope.json"), "--bias", "0"]) == 3
 
-    def test_malformed_junta(self, tmp_path):
+    def test_malformed_junta(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["spectrum", "--fn", str(bad), "--bias", "0"]) == 2
+        good = {"n": 3, "relevant": [0, 2], "core": "0001"}
+        for field, value in [("n", "abc"), ("relevant", 3), ("n", 2.7), ("n", True)]:
+            bad.write_text(json.dumps({**good, field: value}))
+            capsys.readouterr()
+            assert main(["roots", "--fn", str(bad), "--s", "1"]) == 2, (field, value)
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRussoCheck:
@@ -300,10 +307,18 @@ class TestBench:
         cfg.write_text(json.dumps({"n": 5}))
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
-    def test_malformed_config(self, tmp_path):
+    def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"
         cfg.write_text("{")
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        out = tmp_path / "o.csv"
+        valid = json.loads(Path(self.config(tmp_path)).read_text())
+        for bad in [[1], {**valid, "trials": "x"}, {**valid, "biases": 0.3}]:
+            cfg.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2, bad
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
 
     def test_missing_config(self, tmp_path):
         missing = str(tmp_path / "nope.json")

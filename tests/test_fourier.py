@@ -11,13 +11,10 @@ from juntalab import (
     DyadicPolynomial,
     InvalidParamsError,
     Junta,
-    LengthMismatchError,
-    SizeLimitError,
     biased_coefficient,
     biased_coefficient_bruteforce,
     biased_coefficient_rational,
     biased_spectrum,
-    dense_table,
     expectation_polynomial,
     level_weight,
     level_weight_direct,
@@ -147,27 +144,6 @@ class TestParseval:
         for f in random_suite(10, 7, 11, seed=31):
             rv = rng.uniform(-0.9, 0.9, size=f.n)
             assert parseval_sum(f, rv) == pytest.approx(1.0, abs=1e-9)
-
-    def test_dense_route(self, and2):
-        rv = np.random.default_rng(3).uniform(-0.8, 0.8, size=5)
-        assert parseval_sum(dense_table(and2), rv) == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_table(self):
-        assert parseval_sum(np.zeros(8), 0.2) == 0.0
-
-    def test_character_table(self):
-        # chi_S itself has unit weight, all of it on S
-        from juntalab import assignments, chi
-
-        rv = np.array([0.3, -0.5, 0.1])
-        table = np.array([chi((0, 2), x, rv) for x in assignments(3)])
-        assert parseval_sum(table, rv) == pytest.approx(1.0, abs=1e-10)
-
-    def test_bad_table(self):
-        with pytest.raises(LengthMismatchError):
-            parseval_sum(np.ones(3), 0.0)
-        with pytest.raises(SizeLimitError):
-            parseval_sum(np.ones(1 << 15), 0.0)
 
 
 class TestExpectationPolynomial:

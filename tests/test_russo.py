@@ -27,7 +27,7 @@ from juntalab import (
     squarefree_decomposition,
     theorem1_witness,
 )
-from juntalab.russo import CLUSTER_TOL, gcd_chain, poly_gcd
+from juntalab.russo import CLUSTER_TOL, poly_gcd
 
 F = Fraction
 
@@ -105,14 +105,6 @@ class TestPolyAlgebra:
 
     def test_gcd_with_zero(self):
         assert poly_gcd(poly(0, 3), poly()) == poly(0, 1)
-
-    def test_gcd_chain(self):
-        h = poly_mul(poly_mul(poly(-1, 1), poly(-1, 1)), poly(2, 1))
-        assert gcd_chain(h, 1) == _monic_of(h)
-        assert gcd_chain(h, 2).coeffs == (F(-1), F(1))
-        assert gcd_chain(h, 3).coeffs == (F(1),)
-        with pytest.raises(InvalidParamsError):
-            gcd_chain(h, 0)
 
     def test_squarefree_decomposition(self):
         h = poly(2, -3, 0, 1)  # (x-1)^2 (x+2)

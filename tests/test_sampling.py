@@ -187,7 +187,7 @@ class TestEstimateCoefficient:
     def test_empty_set_is_label_mean(self, and2):
         batch = Oracle(and2, 0.2, master_seed=9).draw_batch(500)
         got = estimate_coefficient(batch, (), 0.2)
-        assert got == pytest.approx(float(batch.labels_float.mean()), abs=1e-12)
+        assert got == pytest.approx(float(batch.labels.mean()), abs=1e-12)
 
     def test_no_examples(self):
         empty = ExampleBatch(np.empty((0, 3), dtype=np.int8), np.empty(0, dtype=np.int8))
