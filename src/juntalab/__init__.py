@@ -65,7 +65,6 @@ from .russo import (
 from .sampling import (
     ExampleBatch,
     Oracle,
-    RecordingOracle,
     ReplayOracle,
     bias_sample_size,
     chi_cross_coefficient,

@@ -3,7 +3,7 @@
 Subcommands: gen (random target to JSON), spectrum (biased coefficients and
 level weights), russo-check (derivative identity residuals), roots (critical
 biases of the expectation curve), learn (run the learner against synthetic
-oracles, with optional stream recording and replay), bench (parameter grid
+oracles, with optional stream dump or replay), bench (parameter grid
 to CSV).
 
 Exit codes: 0 success, 1 the learner finished without recovering the target,
@@ -36,7 +36,6 @@ from .russo import poly_derivative, root_set, russo_rhs
 from .sampling import (
     ExampleBatch,
     Oracle,
-    RecordingOracle,
     ReplayOracle,
     dump_examples_csv,
     load_examples_csv,
@@ -65,6 +64,11 @@ def _parse_biases(text: str) -> list[float]:
         biases = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise JuntaLabError(f"could not parse bias list {text!r}") from None
+    return _check_biases(biases)
+
+
+def _check_biases(biases: list[float]) -> list[float]:
+    """Oracle biases must be a non-empty list of distinct values in (-1, 1)."""
     if not biases:
         raise JuntaLabError("empty bias list")
     for b in biases:
@@ -143,7 +147,7 @@ def _cmd_roots(args) -> int:
 
 
 def _replay_oracles(prefix: str, biases: list[float]) -> list[ReplayOracle]:
-    """Load recorded streams; a stream left empty (its oracle was never
+    """Load dumped streams; a stream left empty (its oracle was never
     consulted) replays as an empty source that fails on any draw."""
     batches = []
     for j in range(len(biases)):
@@ -198,12 +202,13 @@ def _cmd_learn(args) -> int:
         oracles = [
             Oracle(f, b, master_seed=args.seed, oracle_id=j) for j, b in enumerate(biases)
         ]
-        if args.dump is not None:
-            oracles = [RecordingOracle(o) for o in oracles]
     report = learn_junta(oracles, params)
-    if args.dump is not None and args.replay is None:
+    if args.dump is not None:
+        # each oracle served one seeded stream, the same however the calls
+        # split it, so a fresh oracle re-draws exactly the rows the run saw
         for j, o in enumerate(oracles):
-            dump_examples_csv(o.recorded(), _stream_path(args.dump, j))
+            stream = Oracle(f, o.bias, master_seed=args.seed, oracle_id=j).draw_batch(o.draws)
+            dump_examples_csv(stream, _stream_path(args.dump, j))
     _emit(_json_text(_report_payload(report)), args.report)
     ok = report.status in (LearnStatus.EXACT_SUCCESS, LearnStatus.CONSTANT_FUNCTION)
     return 0 if ok else 1
@@ -218,12 +223,12 @@ def _cmd_bench(args) -> int:
     if not isinstance(cfg, dict):
         raise JuntaLabError("bench config must be a JSON object")
     try:
-        ns = [int(v) for v in _as_list(cfg["n"])]
-        ks = [int(v) for v in _as_list(cfg["k"])]
-        ss = [int(v) for v in _as_list(cfg["s"])]
+        ns = [operator.index(v) for v in _as_list(cfg["n"])]
+        ks = [operator.index(v) for v in _as_list(cfg["k"])]
+        ss = [operator.index(v) for v in _as_list(cfg["s"])]
         biases = [float(b) for b in cfg["biases"]]
-        trials = int(cfg["trials"])
-        master = int(cfg["master_seed"])
+        trials = operator.index(cfg["trials"])
+        master = operator.index(cfg["master_seed"])
         alpha = float(cfg["alpha"])
         gamma = float(cfg["gamma"])
         delta = float(cfg["delta"])
@@ -235,9 +240,10 @@ def _cmd_bench(args) -> int:
         raise JuntaLabError(f"bench config is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise JuntaLabError(f"malformed bench config: {exc}") from None
-    unknown = bool(cfg.get("unknown_biases", False))
-    if len(set(biases)) != len(biases):
-        raise JuntaLabError("bench biases must be pairwise distinct")
+    unknown = cfg.get("unknown_biases", False)
+    if not isinstance(unknown, bool):
+        raise JuntaLabError(f"bench unknown_biases must be true or false, got {unknown!r}")
+    _check_biases(biases)
     cells = []
     for n, k, s in product(ns, ks, ss):
         params = LearnerParams(
@@ -356,8 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unknown-biases", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, help="write the report JSON here")
-    p.add_argument("--dump", default=None, metavar="PREFIX", help="record raw oracle streams")
-    p.add_argument("--replay", default=None, metavar="PREFIX", help="serve recorded streams")
+    streams = p.add_mutually_exclusive_group()
+    streams.add_argument("--dump", default=None, metavar="PREFIX", help="write raw oracle streams")
+    streams.add_argument("--replay", default=None, metavar="PREFIX", help="serve dumped streams")
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("bench", help="parameter-grid runs appended to a CSV")

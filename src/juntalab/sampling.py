@@ -22,11 +22,9 @@ example stream reproduces a run decision for decision.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,7 +41,6 @@ from .measure import as_bias_vector, sample_batch, sigma, sigma_vector
 __all__ = [
     "ExampleBatch",
     "Oracle",
-    "RecordingOracle",
     "ReplayOracle",
     "bias_sample_size",
     "chi_cross_coefficient",
@@ -124,38 +121,8 @@ class Oracle:
         return ExampleBatch(xs, labels)
 
 
-class RecordingOracle:
-    """Transparent wrapper that keeps every served example for later dumping."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.parts: list[ExampleBatch] = []
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
-
-    @property
-    def bias(self) -> float:
-        return self.inner.bias
-
-    @property
-    def draws(self) -> int:
-        return self.inner.draws
-
-    def draw_batch(self, m: int) -> ExampleBatch:
-        batch = self.inner.draw_batch(m)
-        self.parts.append(batch)
-        return batch
-
-    def recorded(self) -> ExampleBatch:
-        if not self.parts:
-            return ExampleBatch(np.empty((0, self.n), dtype=np.int8), np.empty(0, dtype=np.int8))
-        return ExampleBatch.concat(self.parts)
-
-
 class ReplayOracle:
-    """Serves a recorded example stream in order instead of sampling."""
+    """Serves a stored example stream in order instead of sampling."""
 
     def __init__(self, batch: ExampleBatch, bias: float):
         self._batch = batch
@@ -181,24 +148,24 @@ class ReplayOracle:
 
 def dump_examples_csv(batch: ExampleBatch, path) -> None:
     """One row per example: n sign columns then the label, all -1/1."""
-    data = np.column_stack([batch.xs.astype(np.int64), batch.labels.astype(np.int64)])
-    np.savetxt(path, data, fmt="%d", delimiter=",")
+    np.savetxt(path, np.column_stack([batch.xs, batch.labels]), fmt="%d", delimiter=",")
 
 
 def load_examples_csv(path) -> ExampleBatch:
     """Read a stream written by dump_examples_csv; every entry must be -1 or 1."""
-    text = Path(path).read_text()
-    if not text.strip():
-        raise EmptySampleError(f"no examples in {path}")
-    try:
-        data = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.int64, ndmin=2)
-    except ValueError as exc:
-        raise InvalidParamsError(f"{path} is not a table of integers: {exc}") from None
+    with open(path) as fh:
+        if not any(line.strip() for line in fh):
+            raise EmptySampleError(f"no examples in {path}")
+        fh.seek(0)
+        try:
+            data = np.loadtxt(fh, delimiter=",", dtype=np.int8, ndmin=2)
+        except ValueError as exc:
+            raise InvalidParamsError(f"{path} is not a table of -1/1 entries: {exc}") from None
     if data.shape[1] < 2:
         raise InvalidParamsError(f"{path} needs at least one sign column plus a label")
     if not np.all((data == 1) | (data == -1)):
         raise InvalidParamsError(f"{path} has entries other than -1 and 1")
-    return ExampleBatch(data[:, :-1].astype(np.int8), data[:, -1].astype(np.int8))
+    return ExampleBatch(data[:, :-1], data[:, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parity_core
-from juntalab import Junta
+from juntalab import Junta, Oracle, dump_examples_csv, random_junta
 from juntalab.cli import main
 
 
@@ -164,6 +167,21 @@ LEARN_ARGS = [
     "--samples-per-coeff", "8000", "--threshold", "0.08",
 ]
 
+# (target, biases, the other learn flags, the oracles the run consults)
+DUMP_CASES = {
+    # AND2 resolves from oracle 0 alone, so oracle 1 dumps an empty file
+    "and2_one_oracle_unused": (
+        Junta(12, (3, 9), (-1, -1, -1, 1)), (-0.3, 0.3), LEARN_ARGS[1:], (0,),
+    ),
+    "par3_unknown_biases": (
+        Junta(6, (0, 2, 5), parity_core(3)),
+        (-0.5, 0.0, 0.5),
+        ["--k", "3", "--s", "1", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.1",
+         "--samples-per-coeff", "4000", "--threshold", "0.1", "--unknown-biases"],
+        (0, 1, 2),
+    ),
+}
+
 
 class TestLearn:
     def test_success_and_report(self, and2_12_path, tmp_path):
@@ -213,6 +231,33 @@ class TestLearn:
         a.pop("wall_ms")
         b.pop("wall_ms")
         assert a == b
+
+    @pytest.mark.parametrize("case", sorted(DUMP_CASES))
+    def test_dump_is_each_oracles_seeded_prefix(self, case, tmp_path):
+        f, biases, args, used = DUMP_CASES[case]
+        fn = tmp_path / "f.json"
+        fn.write_text(f.to_json())
+        prefix = str(tmp_path / "streams")
+        report = tmp_path / "report.json"
+        assert main(
+            ["learn", "--fn", str(fn), f"--biases={','.join(map(str, biases))}", *args,
+             "--seed", "7", "--dump", prefix, "--report", str(report)]
+        ) == 0
+        samples = json.loads(report.read_text())["samples"]
+        assert sorted(samples) == [f"oracle_{j}" for j in used]
+        for j, b in enumerate(biases):
+            want = tmp_path / f"want{j}.csv"
+            fresh = Oracle(f, b, master_seed=7, oracle_id=j)
+            dump_examples_csv(fresh.draw_batch(samples.get(f"oracle_{j}", 0)), want)
+            got = Path(f"{prefix}_oracle{j}.csv").read_bytes()
+            assert got == want.read_bytes(), j
+
+    def test_dump_and_replay_exclude_each_other(self, and2_12_path, tmp_path):
+        prefix = str(tmp_path / "streams")
+        assert main(["learn", "--fn", and2_12_path, *LEARN_ARGS, "--dump", prefix]) == 0
+        again = str(tmp_path / "again")
+        assert main(["learn", "--replay", prefix, *LEARN_ARGS, "--dump", again]) == 2
+        assert not list(tmp_path.glob("again_*"))
 
     def test_fn_required_without_replay(self):
         assert main(["learn", *LEARN_ARGS]) == 2
@@ -313,7 +358,15 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         out = tmp_path / "o.csv"
         valid = json.loads(Path(self.config(tmp_path)).read_text())
-        for bad in [[1], {**valid, "trials": "x"}, {**valid, "biases": 0.3}]:
+        for bad in [
+            [1],
+            {**valid, "trials": "x"},
+            {**valid, "biases": 0.3},
+            {**valid, "n": 8.9},
+            {**valid, "unknown_biases": "false"},
+            {**valid, "biases": [-0.3, 1.5]},
+            {**valid, "biases": []},
+        ]:
             cfg.write_text(json.dumps(bad))
             capsys.readouterr()
             assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2, bad
@@ -323,3 +376,28 @@ class TestBench:
     def test_missing_config(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["bench", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 3
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    k=st.integers(1, 2),
+    target_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    unknown=st.booleans(),
+)
+def test_dump_then_replay_reproduces_any_run(n, k, target_seed, seed, unknown):
+    f = random_junta(n, k, target_seed, require_nonconstant=True)
+    args = LEARN_ARGS + (["--unknown-biases"] if unknown else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        fn, prefix = Path(tmp) / "f.json", str(Path(tmp) / "streams")
+        r1, r2 = Path(tmp) / "r1.json", Path(tmp) / "r2.json"
+        fn.write_text(f.to_json())
+        code = main(["learn", "--fn", str(fn), *args, "--seed", str(seed),
+                     "--dump", prefix, "--report", str(r1)])
+        assert code in (0, 1)
+        assert main(["learn", "--replay", prefix, *args, "--report", str(r2)]) == code
+        a, b = json.loads(r1.read_text()), json.loads(r2.read_text())
+    a.pop("wall_ms")
+    b.pop("wall_ms")
+    assert a == b

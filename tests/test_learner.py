@@ -15,7 +15,6 @@ from juntalab import (
     LearnerParams,
     NoCoefficientFoundError,
     Oracle,
-    RecordingOracle,
     RestrictedOracle,
     check_constant,
     constancy_sample_size,
@@ -227,15 +226,13 @@ class TestFindOneRelevant:
         # every level-1 one is 0.2165, below it
         f = Junta(8, (1, 4, 6), parity_core(3))
         p = params_for(3, 2, 0.5, samples_per_coeff=4_000, threshold=0.3)
-        oracles = [
-            RecordingOracle(Oracle(f, r, master_seed=5, oracle_id=j))
-            for j, r in enumerate((0.0, 0.5))
-        ]
+        oracles = [Oracle(f, r, master_seed=5, oracle_id=j) for j, r in enumerate((0.0, 0.5))]
         got = find_one_relevant(oracles, p, exclude=exclude)
 
         hits = []
-        for oracle in oracles:
-            batch = oracle.recorded()
+        for j, oracle in enumerate(oracles):
+            # the scan saw exactly the prefix of the oracle's seeded stream
+            batch = Oracle(f, oracle.bias, master_seed=5, oracle_id=j).draw_batch(oracle.draws)
             rv = np.full(8, oracle.bias)
             for size in (1, 2):
                 for S in itertools.combinations(range(8), size):

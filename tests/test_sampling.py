@@ -17,7 +17,6 @@ from juntalab import (
     InvalidParamsError,
     Junta,
     Oracle,
-    RecordingOracle,
     ReplayOracle,
     SizeLimitError,
     assignments,
@@ -130,30 +129,32 @@ class TestOracle:
         with pytest.raises(InvalidParamsError):
             Oracle(and2, 0.0, master_seed=0).draw_batch(-1)
 
+    def test_split_draws_equal_one_draw(self, and2):
+        # --dump re-draws each oracle's stream in one call, so the rows must
+        # not depend on how the run split them; the sizes cross the
+        # sampler's 65 536-row chunk
+        sizes = [0, 3, 65_534, 0, 7, 65_540, 1]
+        oracle = Oracle(and2, 0.35, master_seed=21, oracle_id=2)
+        split = ExampleBatch.concat([oracle.draw_batch(m) for m in sizes])
+        whole = Oracle(and2, 0.35, master_seed=21, oracle_id=2).draw_batch(oracle.draws)
+        assert oracle.draws == sum(sizes)
+        assert np.array_equal(split.xs, whole.xs)
+        assert np.array_equal(split.labels, whole.labels)
+
 
 class TestRecordReplay:
     def test_round_trip(self, and2):
-        rec = RecordingOracle(Oracle(and2, 0.25, master_seed=11))
-        rec.draw_batch(7)
-        rec.draw_batch(3)
-        rec.draw_batch(1)
-        assert rec.draws == 11
-        stream = rec.recorded()
-        assert stream.m == 11
-
+        stream = Oracle(and2, 0.25, master_seed=11).draw_batch(11)
         replay = ReplayOracle(stream, 0.25)
         assert replay.n == 5
         a = replay.draw_batch(7)
         assert np.array_equal(a.xs, stream.xs[:7])
-        replay.draw_batch(4)
+        assert np.array_equal(a.labels, stream.labels[:7])
+        replay.draw_batch(3)
+        replay.draw_batch(1)
+        assert replay.draws == 11
         with pytest.raises(BudgetExhaustedError):
             replay.draw_batch(1)
-
-    def test_empty_recording(self, and2):
-        rec = RecordingOracle(Oracle(and2, 0.0, master_seed=0))
-        stream = rec.recorded()
-        assert stream.m == 0
-        assert stream.n == 5
 
     def test_csv_round_trip(self, tmp_path, par3):
         batch = Oracle(par3, 0.1, master_seed=5).draw_batch(20)
@@ -165,9 +166,10 @@ class TestRecordReplay:
 
     def test_empty_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(EmptySampleError):
-            load_examples_csv(path)
+        for text in ["", " \n\t\n\n"]:
+            path.write_text(text)
+            with pytest.raises(EmptySampleError):
+                load_examples_csv(path)
 
     def test_csv_needs_a_label_column(self, tmp_path):
         path = tmp_path / "thin.csv"
