@@ -208,17 +208,27 @@ def random_junta(n: int, k: int, seed, require_nonconstant: bool = False) -> Jun
 def relevant_variables_bruteforce(f: Junta) -> frozenset[int]:
     """Exact flip test over the full core table: i is relevant iff flipping
     x_i changes f at some point."""
-    out = set()
-    size = 1 << f.k
-    for b, var in enumerate(f.relevant):
-        bit = 1 << b
-        for idx in range(size):
-            if idx & bit:
-                continue
-            if f.core[idx] != f.core[idx | bit]:
-                out.add(var)
-                break
-    return frozenset(out)
+    t = np.asarray(f.core)
+    # in the (-1, 2, 2**b) view, [:, 0] and [:, 1] differ only in bit b
+    flips = [np.any(np.diff(t.reshape(-1, 2, 1 << b), axis=1)) for b in range(f.k)]
+    return frozenset(var for var, flip in zip(f.relevant, flips) if flip)
+
+
+def _walsh(core: Sequence[int]) -> np.ndarray:
+    """The integer Walsh transform as an int64 array (see walsh_numerators)."""
+    t = np.asarray(core)
+    size = t.size
+    if t.ndim != 1 or size == 0 or size & (size - 1):
+        raise LengthMismatchError(f"core length must be a power of two, got {size}")
+    # each butterfly at most doubles the largest magnitude, so the transform
+    # stays exact while size * max|core| fits in int64
+    if size * max(int(t.max()), -int(t.min())) > np.iinfo(np.int64).max:
+        raise InvalidParamsError(f"core entries too large for an exact transform of size {size}")
+    t = t.astype(np.int64)
+    for b in range(size.bit_length() - 1):
+        v = t.reshape(-1, 2, 1 << b)
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 1] - v[:, 0]
+    return t
 
 
 def walsh_numerators(core: Sequence[int]) -> list[int]:
@@ -226,32 +236,16 @@ def walsh_numerators(core: Sequence[int]) -> list[int]:
 
     Returns W indexed by subset mask with W[mask] = sum_x core(x) * prod_{b in
     mask} x_b, so the level-0 orthonormal coefficient of the core function is
-    W[mask] / 2**k.  Exact integer arithmetic throughout.
+    W[mask] / 2**k.  Exact: the transform runs in int64, and a table whose
+    transform could overflow it raises InvalidParamsError.
     """
-    t = [int(v) for v in core]
-    size = len(t)
-    if size == 0 or size & (size - 1):
-        raise LengthMismatchError(f"core length must be a power of two, got {size}")
-    bit = 1
-    while bit < size:
-        for idx in range(size):
-            if idx & bit == 0:
-                u, v = t[idx], t[idx | bit]
-                t[idx] = u + v
-                t[idx | bit] = v - u
-        bit <<= 1
-    return t
+    return _walsh(core).tolist()
 
 
 def degree(f: Junta) -> int:
     """Largest subset size carrying a nonzero coefficient of the core, from
     the exact Walsh transform.  Constants have degree 0."""
-    w = walsh_numerators(f.core)
-    deg = 0
-    for mask, val in enumerate(w):
-        if val != 0:
-            deg = max(deg, mask.bit_count())
-    return deg
+    return int(np.bitwise_count(np.flatnonzero(_walsh(f.core))).max(initial=0))
 
 
 @lru_cache(maxsize=8)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from fractions import Fraction
 from itertools import product
@@ -22,17 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .boolfn import Junta, random_junta
+from .boolfn import Junta, _is_json_int, random_junta
 from .errors import JuntaLabError
 from .fourier import (
+    _level_weight,
     _subset_mask,
     biased_spectrum,
     expectation_polynomial,
-    level_weight,
     relevant_subsets,
 )
 from .learner import LearnerParams, LearnReport, LearnStatus, learn_junta
-from .russo import poly_derivative, root_set, russo_rhs
+from .russo import _russo_rhs, poly_derivative, root_set
 from .sampling import (
     ExampleBatch,
     Oracle,
@@ -106,10 +105,11 @@ def _cmd_spectrum(args) -> int:
         lines += [f"{'|'.join(str(i) for i in S)},{v!r}" for S, v in coeffs]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
+    poly = expectation_polynomial(f)
     payload = {
         "bias": r,
         "coefficients": [{"S": list(S), "value": v} for S, v in coeffs],
-        "weights": [level_weight(f, s, r) for s in range(min(top, f.k) + 1)],
+        "weights": [_level_weight(poly, s, r) for s in range(min(top, f.k) + 1)],
     }
     _emit(_json_text(payload), args.out)
     return 0
@@ -126,7 +126,7 @@ def _cmd_russo_check(args) -> int:
         deriv = poly_derivative(poly, s)
         for r in biases:
             lhs = float(deriv(Fraction(r)))
-            rhs = russo_rhs(f, s, r)
+            rhs = _russo_rhs(poly, s, r)
             res = abs(lhs - rhs)
             worst = max(worst, res)
             rows.append(f"{s:>2}  {r:>9.4f}  {lhs:> .12e}  {rhs:> .12e}  {res:.3e}")
@@ -218,22 +218,28 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _json_int(value, key: str) -> int:
+    if not _is_json_int(value):
+        raise JuntaLabError(f"bench {key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _cmd_bench(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise JuntaLabError("bench config must be a JSON object")
     try:
-        ns = [operator.index(v) for v in _as_list(cfg["n"])]
-        ks = [operator.index(v) for v in _as_list(cfg["k"])]
-        ss = [operator.index(v) for v in _as_list(cfg["s"])]
+        ns = [_json_int(v, "n") for v in _as_list(cfg["n"])]
+        ks = [_json_int(v, "k") for v in _as_list(cfg["k"])]
+        ss = [_json_int(v, "s") for v in _as_list(cfg["s"])]
         biases = [float(b) for b in cfg["biases"]]
-        trials = operator.index(cfg["trials"])
-        master = operator.index(cfg["master_seed"])
+        trials = _json_int(cfg["trials"], "trials")
+        master = _json_int(cfg["master_seed"], "master_seed")
         alpha = float(cfg["alpha"])
         gamma = float(cfg["gamma"])
         delta = float(cfg["delta"])
         spc = cfg.get("samples_per_coeff")
-        spc = None if spc is None else operator.index(spc)
+        spc = None if spc is None else _json_int(spc, "samples_per_coeff")
         thr = cfg.get("threshold")
         thr = None if thr is None else float(thr)
     except KeyError as exc:

@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .boolfn import Junta, assignments, walsh_numerators
+from .boolfn import Junta, _walsh, assignments, walsh_numerators
 from .errors import DomainError, InvalidParamsError
 from .measure import as_bias_vector, sigma, sigma_vector
 
@@ -126,24 +125,23 @@ def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Frac
     The sigma_S factor is irrational in general but strictly positive, so
     this rational part is zero exactly when the coefficient is.
     """
-    S = tuple(S)
     r = Fraction(r)
     mask = _subset_mask(f, S)
     if mask is None:
         return Fraction(0)
-    nums = walsh_numerators(f.core)
-    full = (1 << f.k) - 1
-    free = full ^ mask
-    total = Fraction(0)
-    u = free
-    while True:
-        num = nums[mask | u]
-        if num:
-            total += num * r ** u.bit_count()
-        if u == 0:
-            break
-        u = (u - 1) & free
-    return total / (1 << f.k)
+    sums = _superset_level_sums(f, mask)
+    return sum(w * r**t for t, w in enumerate(sums)) / (1 << f.k)
+
+
+def _superset_level_sums(f: Junta, mask: int) -> list[int]:
+    """Entry t sums the Walsh numerators W[T] over the supersets T of mask
+    with t elements outside it; exact, since each |sum| <= 2**k * 2**k."""
+    nums = _walsh(f.core)
+    sup = np.arange(1 << f.k)
+    sup = sup[sup & mask == mask]
+    sums = np.zeros(f.k + 1, dtype=np.int64)
+    np.add.at(sums, np.bitwise_count(sup ^ mask), nums[sup])
+    return sums.tolist()
 
 
 def biased_spectrum(f: Junta, r) -> np.ndarray:
@@ -154,18 +152,15 @@ def biased_spectrum(f: Junta, r) -> np.ndarray:
     """
     rv = as_bias_vector(r, f.n)
     k = f.k
-    out = np.asarray(walsh_numerators(f.core), dtype=np.float64) / (1 << k)
-    if k == 0:
-        return out
+    out = _walsh(f.core) / (1 << k)
     rr = rv[list(f.relevant)]
     sig = sigma_vector(rr)
-    idx = np.arange(1 << k)
+    # in the (-1, 2, 2**b) view, [:, 1] are the masks with bit b set, [:, 0] without it
     for b in range(k):
-        hi = (idx >> b) & 1 == 1
-        out[~hi] += rr[b] * out[hi]
+        v = out.reshape(-1, 2, 1 << b)
+        v[:, 0] += rr[b] * v[:, 1]
     for b in range(k):
-        hi = (idx >> b) & 1 == 1
-        out[hi] *= sig[b]
+        out.reshape(-1, 2, 1 << b)[:, 1] *= sig[b]
     return out
 
 
@@ -200,17 +195,11 @@ def parseval_sum(f: Junta, r) -> float:
     return float(np.dot(spec, spec))
 
 
-@lru_cache(maxsize=4096)
 def expectation_polynomial(f: Junta) -> DyadicPolynomial:
     """E_r[f] as an exact polynomial in a uniform bias r: coefficient t is
     the level-t weight of the uniform spectrum."""
-    nums = walsh_numerators(f.core)
     denom = 1 << f.k
-    coeffs = [Fraction(0)] * (f.k + 1)
-    for mask, num in enumerate(nums):
-        if num:
-            coeffs[mask.bit_count()] += Fraction(num, denom)
-    return DyadicPolynomial(tuple(coeffs))
+    return DyadicPolynomial(tuple(Fraction(w, denom) for w in _superset_level_sums(f, 0)))
 
 
 def level_weight(f: Junta, s: int, r: float) -> float:
@@ -218,8 +207,12 @@ def level_weight(f: Junta, s: int, r: float) -> float:
     uniform level weights in O(k) terms."""
     if s < 0:
         raise InvalidParamsError(f"level must be nonnegative, got {s}")
+    return _level_weight(expectation_polynomial(f), s, r)
+
+
+def _level_weight(poly: DyadicPolynomial, s: int, r: float) -> float:
+    """level_weight from the expectation polynomial, computed once by the caller."""
     sig = sigma(r)
-    poly = expectation_polynomial(f)
     total = 0.0
     for t in range(s, poly.degree + 1):
         w_t = float(poly.coeffs[t])
@@ -236,9 +229,7 @@ def level_weight_direct(f: Junta, s: int, r) -> float:
     if s > f.k:
         return 0.0
     spec = biased_spectrum(f, r)
-    masks = np.arange(1 << f.k)
-    sizes = np.array([m.bit_count() for m in range(1 << f.k)])
-    return float(np.sum(spec[masks[sizes == s]]))
+    return float(np.sum(spec[np.bitwise_count(np.arange(1 << f.k)) == s]))
 
 
 def relevant_subsets(f: Junta, max_size: int | None = None):

@@ -29,9 +29,9 @@ from .errors import (
 )
 from .fourier import (
     DyadicPolynomial,
+    _level_weight,
     biased_coefficient_rational,
     expectation_polynomial,
-    level_weight,
 )
 from .measure import sigma
 
@@ -91,7 +91,12 @@ def russo_rhs(f: Junta, s: int, r: float) -> float:
     of the expectation at bias r."""
     if s < 1:
         raise InvalidParamsError(f"derivative order must be >= 1, got {s}")
-    return math.factorial(s) * level_weight(f, s, r) / sigma(r) ** s
+    return _russo_rhs(expectation_polynomial(f), s, r)
+
+
+def _russo_rhs(poly: DyadicPolynomial, s: int, r: float) -> float:
+    """russo_rhs from the expectation polynomial, computed once by the caller."""
+    return math.factorial(s) * _level_weight(poly, s, r) / sigma(r) ** s
 
 
 def russo_residual(f: Junta, s: int, r: float) -> float:

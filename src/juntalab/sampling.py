@@ -158,7 +158,8 @@ def load_examples_csv(path) -> ExampleBatch:
             raise EmptySampleError(f"no examples in {path}")
         fh.seek(0)
         try:
-            data = np.loadtxt(fh, delimiter=",", dtype=np.int8, ndmin=2)
+            # the format has no comments: a '#' line is a malformed row
+            data = np.loadtxt(fh, delimiter=",", dtype=np.int8, ndmin=2, comments=None)
         except ValueError as exc:
             raise InvalidParamsError(f"{path} is not a table of -1/1 entries: {exc}") from None
     if data.shape[1] < 2:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import parity_core, random_suite
@@ -243,6 +243,12 @@ class TestWalshAndDegree:
         with pytest.raises(LengthMismatchError):
             walsh_numerators(())
 
+    def test_overflow_rejected(self):
+        assert walsh_numerators([2**61, 2**61]) == [2**62, 0]
+        for core in ([2**62, 2**62], [-(2**62), 1], [2**64, 1]):
+            with pytest.raises(InvalidParamsError):
+                walsh_numerators(core)
+
     def test_degree(self, and2, par3):
         assert degree(and2) == 2
         assert degree(par3) == 3
@@ -251,6 +257,24 @@ class TestWalshAndDegree:
     def test_degree_bounded_by_true_relevant(self):
         for f in random_suite(15, 6, 8, seed=303):
             assert degree(f) <= len(relevant_variables_bruteforce(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+@example(k=0, seed=1)
+@example(k=1, seed=1)
+def test_walsh_is_the_direct_character_sum(k, seed):
+    f = random_junta(k, k, seed)
+    xs = assignments(k).astype(np.int64)
+    # chars[mask, x] = prod_{b in mask} x_b
+    chars = np.ones((1 << k, 1 << k), dtype=np.int64)
+    for b in range(k):
+        chars[[m for m in range(1 << k) if m >> b & 1]] *= xs[:, b]
+    want = (chars @ np.asarray(f.core, dtype=np.int64)).tolist()
+    got = walsh_numerators(f.core)
+    assert got == want
+    assert all(type(v) is int for v in got)
+    assert degree(f) == max((m.bit_count() for m, w in enumerate(want) if w), default=0)
 
 
 class TestAssignments:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import parity_core
-from juntalab import Junta, Oracle, dump_examples_csv, random_junta
+from juntalab import Junta, Oracle, dump_examples_csv, level_weight, random_junta, russo_rhs
 from juntalab.cli import main
 
 
@@ -35,6 +35,11 @@ def and2_12_path(tmp_path):
     path = tmp_path / "and2_12.json"
     path.write_text(f.to_json())
     return str(path)
+
+
+@pytest.fixture
+def rand6():
+    return random_junta(9, 6, 61, require_nonconstant=True)
 
 
 class TestGen:
@@ -81,6 +86,13 @@ class TestSpectrum:
         assert set(by_subset) == {(), (0,), (2,)}
         assert by_subset[(0,)] == pytest.approx(0.6495190528383290, abs=1e-9)
         assert len(data["weights"]) == 2
+
+    def test_weights_are_level_weights(self, rand6, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(rand6.to_json())
+        assert main(["spectrum", "--fn", str(path), "--bias", "-0.35"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["weights"] == [level_weight(rand6, s, -0.35) for s in range(7)]
 
     def test_par3_level_one_vanishes(self, par3_path, capsys):
         assert main(["spectrum", "--fn", par3_path, "--bias", "0", "--max-level", "1"]) == 0
@@ -129,6 +141,14 @@ class TestRussoCheck:
         assert len(lines) == 1 + 2 * 2
         for line in lines[1:]:
             assert float(line.split()[-1]) <= 1e-10
+
+    def test_rhs_column_is_russo_rhs(self, rand6, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(rand6.to_json())
+        main(["russo-check", "--fn", str(path), "--bias", "0.6,-0.2"])
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        want = [f"{russo_rhs(rand6, s, r):> .12e}" for s in range(1, 7) for r in (0.6, -0.2)]
+        assert [row.split()[3] for row in rows] == [w.strip() for w in want]
 
     def test_default_order_covers_k(self, par3_path, capsys):
         assert main(["russo-check", "--fn", par3_path, "--bias", "0.3"]) == 0
@@ -366,6 +386,11 @@ class TestBench:
             {**valid, "unknown_biases": "false"},
             {**valid, "biases": [-0.3, 1.5]},
             {**valid, "biases": []},
+            # JSON true/false load as bool, a subclass of int
+            {**valid, "trials": True},
+            {**valid, "n": [8, True]},
+            {**valid, "master_seed": False},
+            {**valid, "samples_per_coeff": True},
         ]:
             cfg.write_text(json.dumps(bad))
             capsys.readouterr()

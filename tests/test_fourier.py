@@ -1,9 +1,13 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_suite
 from juntalab import (
@@ -19,10 +23,12 @@ from juntalab import (
     level_weight,
     level_weight_direct,
     parseval_sum,
+    random_junta,
     relevant_subsets,
     relevant_variables_bruteforce,
     sigma,
     uniform_coefficients,
+    walsh_numerators,
 )
 
 F = Fraction
@@ -138,6 +144,41 @@ class TestBiasedSpectrum:
         assert spec.tolist() == [-1.0]
 
 
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), r=st.floats(-0.9, 0.9))
+@example(k=0, seed=1, r=0.3)
+@example(k=1, seed=1, r=-0.6)
+def test_spectrum_matches_bruteforce(k, seed, r):
+    f = random_junta(k, k, seed)
+    rv = np.random.default_rng(seed).uniform(-0.9, 0.9, size=k)
+    for bias in (r, rv):
+        spec = biased_spectrum(f, bias)
+        for mask in range(1 << k):
+            S = [f.relevant[b] for b in range(k) if mask >> b & 1]
+            assert spec[mask] == pytest.approx(
+                biased_coefficient_bruteforce(f, S, bias), abs=1e-12
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), num=st.integers(-15, 15))
+@example(k=0, seed=1, num=3)
+@example(k=1, seed=1, num=-7)
+def test_rational_part_is_the_superset_sum(k, seed, num):
+    f = random_junta(k, k, seed)
+    r = F(num, 16)
+    w = walsh_numerators(f.core)
+    for mask in range(1 << k):
+        S = [f.relevant[b] for b in range(k) if mask >> b & 1]
+        want = sum(
+            F(w[t], 1 << k) * r ** (t ^ mask).bit_count()
+            for t in range(1 << k)
+            if t & mask == mask
+        )
+        assert biased_coefficient_rational(f, S, r) == want
+    assert expectation_polynomial(f)(r) == biased_coefficient_rational(f, (), r)
+
+
 class TestParseval:
     def test_junta_route(self):
         rng = np.random.default_rng(31)
@@ -155,6 +196,14 @@ class TestExpectationPolynomial:
 
     def test_constant(self):
         assert expectation_polynomial(Junta(2, (), (-1,))).coeffs == (F(-1),)
+
+    def test_keeps_no_junta_alive(self):
+        f = random_junta(8, 6, 5)
+        ref = weakref.ref(f)
+        expectation_polynomial(f)
+        del f
+        gc.collect()
+        assert ref() is None
 
     def test_matches_density_sum(self):
         from juntalab import assignments, density

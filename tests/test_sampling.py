@@ -184,6 +184,13 @@ class TestRecordReplay:
         with pytest.raises(InvalidParamsError):
             load_examples_csv(path)
 
+    @pytest.mark.parametrize("text", ["# comment\n", "1,-1,1\n# comment\n-1,1,1\n"])
+    def test_csv_has_no_comment_lines(self, tmp_path, text):
+        path = tmp_path / "commented.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidParamsError, match="not a table of -1/1 entries"):
+            load_examples_csv(path)
+
 
 class TestEstimateCoefficient:
     def test_empty_set_is_label_mean(self, and2):
