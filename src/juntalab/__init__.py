@@ -18,7 +18,6 @@ from .errors import (
     InvalidIndexError,
     InvalidParamsError,
     JuntaLabError,
-    KBoundExceededError,
     LengthMismatchError,
     NoCoefficientFoundError,
     NoWitnessError,
@@ -36,7 +35,6 @@ from .fourier import (
     level_weight_direct,
     parseval_sum,
     relevant_subsets,
-    uniform_coefficients,
 )
 from .learner import (
     LearnReport,
@@ -57,7 +55,6 @@ from .russo import (
     Witness,
     poly_derivative,
     root_set,
-    russo_residual,
     russo_rhs,
     squarefree_decomposition,
     theorem1_witness,

@@ -115,32 +115,6 @@ class Junta:
         idx = bits @ (1 << np.arange(self.k, dtype=np.int64))
         return np.asarray(self.core, dtype=np.int8)[idx]
 
-    def restrict(self, rho: Mapping[int, int]) -> "Junta":
-        """Fix the variables in ``rho`` to the given signs.
-
-        The result keeps the ambient n; its relevant set is
-        ``relevant`` minus ``dom(rho)`` even when further variables become
-        inert under the restriction.
-        """
-        fixed: dict[int, int] = {}
-        for var, val in rho.items():
-            var = int(var)
-            if not 0 <= var < self.n:
-                raise InvalidIndexError(f"restricted index {var} outside [0, {self.n})")
-            fixed[var] = _as_sign(val, "restriction value")
-        keep = [b for b, var in enumerate(self.relevant) if var not in fixed]
-        new_rel = tuple(self.relevant[b] for b in keep)
-        base = 0
-        for b, var in enumerate(self.relevant):
-            if fixed.get(var, -1) == 1:
-                base |= 1 << b
-        j = np.arange(1 << len(keep), dtype=np.int64)
-        old = np.full_like(j, base)
-        for new_b, old_b in enumerate(keep):
-            old |= ((j >> new_b) & 1) << old_b
-        core_arr = np.asarray(self.core, dtype=np.int64)
-        return Junta(self.n, new_rel, tuple(int(v) for v in core_arr[old]))
-
     def constant_value(self) -> int | None:
         """The constant sign if the core table is constant, else None.
 

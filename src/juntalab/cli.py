@@ -119,6 +119,8 @@ def _cmd_russo_check(args) -> int:
     f = _load_junta(args.fn)
     biases = _parse_biases(args.bias)
     max_s = args.max_order if args.max_order is not None else max(f.k, 1)
+    if max_s < 1:
+        raise JuntaLabError(f"--max-order must be positive, got {max_s}")
     poly = expectation_polynomial(f)
     rows = []
     worst = 0.0
@@ -224,6 +226,12 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _json_number(value, key: str) -> float:
+    if not (_is_json_int(value) or isinstance(value, float)):
+        raise JuntaLabError(f"bench {key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _cmd_bench(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
@@ -232,19 +240,19 @@ def _cmd_bench(args) -> int:
         ns = [_json_int(v, "n") for v in _as_list(cfg["n"])]
         ks = [_json_int(v, "k") for v in _as_list(cfg["k"])]
         ss = [_json_int(v, "s") for v in _as_list(cfg["s"])]
-        biases = [float(b) for b in cfg["biases"]]
+        biases = [_json_number(b, "biases") for b in cfg["biases"]]
         trials = _json_int(cfg["trials"], "trials")
         master = _json_int(cfg["master_seed"], "master_seed")
-        alpha = float(cfg["alpha"])
-        gamma = float(cfg["gamma"])
-        delta = float(cfg["delta"])
+        alpha = _json_number(cfg["alpha"], "alpha")
+        gamma = _json_number(cfg["gamma"], "gamma")
+        delta = _json_number(cfg["delta"], "delta")
         spc = cfg.get("samples_per_coeff")
         spc = None if spc is None else _json_int(spc, "samples_per_coeff")
         thr = cfg.get("threshold")
-        thr = None if thr is None else float(thr)
+        thr = None if thr is None else _json_number(thr, "threshold")
     except KeyError as exc:
         raise JuntaLabError(f"bench config is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise JuntaLabError(f"malformed bench config: {exc}") from None
     unknown = cfg.get("unknown_biases", False)
     if not isinstance(unknown, bool):

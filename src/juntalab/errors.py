@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BudgetExhaustedError",
+    "ConstantFunctionError",
+    "DomainError",
+    "EmptySampleError",
+    "InvalidIndexError",
+    "InvalidParamsError",
+    "JuntaLabError",
+    "LengthMismatchError",
+    "NoCoefficientFoundError",
+    "NoWitnessError",
+    "SizeLimitError",
+]
+
 
 class JuntaLabError(Exception):
     """Base class for all package-specific errors."""
@@ -43,7 +57,3 @@ class NoCoefficientFoundError(JuntaLabError):
 
 class BudgetExhaustedError(JuntaLabError):
     """A sampling attempt budget ran out before enough draws were accepted."""
-
-
-class KBoundExceededError(JuntaLabError):
-    """The learner would need more variables than the promised bound."""

@@ -22,7 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .boolfn import Junta, _walsh, assignments, walsh_numerators
+# perfbench/tracing.py wraps walsh_numerators in this module, so it stays imported
+from .boolfn import Junta, _walsh, assignments, walsh_numerators  # noqa: F401
 from .errors import DomainError, InvalidParamsError
 from .measure import as_bias_vector, sigma, sigma_vector
 
@@ -38,7 +39,6 @@ __all__ = [
     "level_weight_direct",
     "parseval_sum",
     "relevant_subsets",
-    "uniform_coefficients",
 ]
 
 
@@ -79,18 +79,6 @@ class DyadicPolynomial:
 
     def as_floats(self) -> list[float]:
         return [float(c) for c in self.coeffs]
-
-
-def uniform_coefficients(f: Junta) -> dict[tuple[int, ...], Fraction]:
-    """Exact uniform-measure coefficients, keyed by sorted subsets of the
-    relevant variables.  All 2**k subsets appear, zeros included."""
-    nums = walsh_numerators(f.core)
-    denom = 1 << f.k
-    out: dict[tuple[int, ...], Fraction] = {}
-    for mask, num in enumerate(nums):
-        subset = tuple(f.relevant[b] for b in range(f.k) if (mask >> b) & 1)
-        out[subset] = Fraction(num, denom)
-    return out
 
 
 def _subset_mask(f: Junta, S: Iterable[int]) -> int | None:

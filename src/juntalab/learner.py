@@ -28,7 +28,6 @@ from .errors import (
     BudgetExhaustedError,
     InvalidIndexError,
     InvalidParamsError,
-    KBoundExceededError,
     NoCoefficientFoundError,
 )
 from .measure import sigma
@@ -186,7 +185,6 @@ class RestrictedOracle:
     def __init__(self, inner, rho: Mapping[int, int], params: LearnerParams):
         self.inner = inner
         self.rho = _check_rho(rho, inner.n)
-        self.fixed = frozenset(self.rho)
         self._params = params
         idx = sorted(self.rho)
         self._idx = np.array(idx, dtype=np.int64)
@@ -347,51 +345,34 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
 
     V: list[int] = []
     while True:
-        values: dict[int, int] = {}
-        pending_rho: dict[int, int] | None = None
+        values: list[int] = []
         with _count_draws(phases, oracles, "constancy"):
             try:
                 for bits in range(1 << len(V)):
                     rho = {V[b]: (1 if (bits >> b) & 1 else -1) for b in range(len(V))}
-                    views = (
-                        list(oracles)
-                        if not rho
-                        else [RestrictedOracle(o, rho, sub_params) for o in oracles]
-                    )
+                    views = oracles
+                    if rho:
+                        views = [RestrictedOracle(o, rho, sub_params) for o in oracles]
                     c = check_constant(views, sub_params)
                     if c is None:
-                        pending_rho = rho
                         break
-                    values[bits] = c
+                    values.append(c)
+                else:
+                    status = LearnStatus.EXACT_SUCCESS if V else LearnStatus.CONSTANT_FUNCTION
+                    return report(status, V, tuple(values))
             except BudgetExhaustedError:
                 return report(LearnStatus.BUDGET_EXHAUSTED, V, None)
-        if pending_rho is None:
-            table = tuple(values[bits] for bits in range(1 << len(V)))
-            if not V:
-                return report(LearnStatus.CONSTANT_FUNCTION, V, table)
-            return report(LearnStatus.EXACT_SUCCESS, V, table)
-        if len(V) > params.k:
-            raise KBoundExceededError(f"found {len(V)} variables, promised at most {params.k}")
         if len(V) == params.k:
             # a full-depth restriction still shows both labels: the target is
             # not an at-most-k junta consistent with what was found
             return report(LearnStatus.INCONSISTENT, V, None)
-        views = (
-            list(oracles)
-            if not pending_rho
-            else [RestrictedOracle(o, pending_rho, sub_params) for o in oracles]
-        )
+        # the loop broke at a non-constant pattern: scan its views outside rho
         with _count_draws(phases, oracles, "coefficients"):
             try:
                 idx = find_one_relevant(
-                    views,
-                    sub_params,
-                    exclude=frozenset(pending_rho),
-                    known_biases=biases,
+                    views, sub_params, exclude=frozenset(rho), known_biases=biases
                 )
             except (NoCoefficientFoundError, BudgetExhaustedError):
                 return report(LearnStatus.BUDGET_EXHAUSTED, V, None)
-        if idx in V:
-            raise KBoundExceededError(f"variable {idx} was already confirmed")
         V.append(idx)
         V.sort()

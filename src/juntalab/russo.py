@@ -42,7 +42,6 @@ __all__ = [
     "poly_derivative",
     "poly_gcd",
     "root_set",
-    "russo_residual",
     "russo_rhs",
     "squarefree_decomposition",
     "theorem1_witness",
@@ -97,20 +96,6 @@ def russo_rhs(f: Junta, s: int, r: float) -> float:
 def _russo_rhs(poly: DyadicPolynomial, s: int, r: float) -> float:
     """russo_rhs from the expectation polynomial, computed once by the caller."""
     return math.factorial(s) * _level_weight(poly, s, r) / sigma(r) ** s
-
-
-def russo_residual(f: Junta, s: int, r: float) -> float:
-    """|exact s-th derivative of E_r[f] at r minus the closed form|.
-
-    The left side is evaluated in exact rational arithmetic at the exact
-    binary value of r, so the residual isolates the closed form's float
-    error.
-    """
-    if not -1.0 < r < 1.0:
-        raise DomainError(f"bias must lie in (-1, 1), got {r}")
-    deriv = poly_derivative(expectation_polynomial(f), s)
-    lhs = float(deriv(Fraction(r)))
-    return abs(lhs - russo_rhs(f, s, r))
 
 
 # ---------------------------------------------------------------------------

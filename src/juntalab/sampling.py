@@ -77,9 +77,6 @@ class ExampleBatch:
     def n(self) -> int:
         return self.xs.shape[1]
 
-    def __len__(self) -> int:
-        return self.m
-
     @classmethod
     def concat(cls, parts: Sequence["ExampleBatch"]) -> "ExampleBatch":
         return cls(
@@ -135,6 +132,8 @@ class ReplayOracle:
         return self._batch.n
 
     def draw_batch(self, m: int) -> ExampleBatch:
+        if m < 0:
+            raise InvalidParamsError(f"batch size must be nonnegative, got {m}")
         if self._pos + m > self._batch.m:
             raise BudgetExhaustedError(
                 f"replay stream exhausted: need {m} more examples, "

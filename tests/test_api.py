@@ -6,7 +6,7 @@ import pytest
 
 import juntalab
 
-MODULES = ["boolfn", "cli", "fourier", "learner", "measure", "russo", "sampling"]
+MODULES = ["boolfn", "cli", "errors", "fourier", "learner", "measure", "russo", "sampling"]
 
 # exported by their module but deliberately left out of the package namespace
 MODULE_ONLY = {("russo", "poly_gcd"), ("cli", "entry"), ("cli", "main")}

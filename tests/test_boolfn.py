@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -104,49 +102,6 @@ class TestEval:
             assert f.eval(tuple(int(v) for v in row)) == val
 
 
-class TestRestrict:
-    def test_fix_one_to_plus(self, and2):
-        g = and2.restrict({0: 1})
-        assert g.n == 5
-        assert g.relevant == (2,)
-        assert g.core == (-1, 1)
-
-    def test_fix_one_to_minus(self, and2):
-        g = and2.restrict({0: -1})
-        assert g.relevant == (2,)
-        assert g.constant_value() == -1
-        assert relevant_variables_bruteforce(g) == frozenset()
-
-    def test_empty_restriction(self, and2):
-        assert and2.restrict({}) == and2
-
-    def test_irrelevant_variable_absorbed(self, and2):
-        g = and2.restrict({1: -1})
-        assert g.relevant == (0, 2)
-        assert g.core == and2.core
-
-    def test_bad_index(self, and2):
-        with pytest.raises(InvalidIndexError):
-            and2.restrict({5: 1})
-
-    def test_bad_sign(self, and2):
-        with pytest.raises(InvalidParamsError):
-            and2.restrict({0: 0})
-
-    def test_consistency_exhaustive(self):
-        for f in random_suite(12, 5, 8, seed=101):
-            rng = np.random.default_rng(f.relevant[0] + 7)
-            dom = [int(i) for i in rng.choice(f.n, size=min(3, f.n), replace=False)]
-            rho = {i: int(2 * rng.integers(0, 2) - 1) for i in dom}
-            g = f.restrict(rho)
-            assert g.n == f.n
-            assert set(g.relevant) == set(f.relevant) - set(rho)
-            for x in itertools.product((-1, 1), repeat=f.n):
-                y = tuple(rho.get(i, x[i]) for i in range(f.n))
-                assert g.eval(y) == f.eval(y)
-            assert relevant_variables_bruteforce(g) <= set(f.relevant) - set(rho)
-
-
 class TestJson:
     def test_round_trip(self, and2, par3):
         for f in (and2, par3, Junta(4, (), (1,))):
@@ -248,6 +203,10 @@ class TestWalshAndDegree:
         for core in ([2**62, 2**62], [-(2**62), 1], [2**64, 1]):
             with pytest.raises(InvalidParamsError):
                 walsh_numerators(core)
+
+    def test_parseval_exact(self):
+        for f in random_suite(10, 6, 9, seed=17):
+            assert sum(w * w for w in walsh_numerators(f.core)) == 4**f.k
 
     def test_degree(self, and2, par3):
         assert degree(and2) == 2

@@ -161,6 +161,14 @@ class TestRussoCheck:
     def test_empty_bias_list(self, and2_path):
         assert main(["russo-check", "--fn", and2_path, "--bias", ","]) == 2
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_bad_order(self, and2_path, order, capsys):
+        code = main(["russo-check", "--fn", and2_path, "--bias", "0.5", "--max-order", order])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestRoots:
     def test_par3(self, par3_path, capsys):
@@ -391,6 +399,13 @@ class TestBench:
             {**valid, "n": [8, True]},
             {**valid, "master_seed": False},
             {**valid, "samples_per_coeff": True},
+            # float fields need a JSON number: no bool, no string
+            {**valid, "alpha": True},
+            {**valid, "biases": [False, 0.5]},
+            {**valid, "delta": "0.1"},
+            {**valid, "gamma": "0.2"},
+            {**valid, "threshold": False},
+            {**valid, "alpha": 10**400},
         ]:
             cfg.write_text(json.dumps(bad))
             capsys.readouterr()

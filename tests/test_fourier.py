@@ -27,35 +27,10 @@ from juntalab import (
     relevant_subsets,
     relevant_variables_bruteforce,
     sigma,
-    uniform_coefficients,
     walsh_numerators,
 )
 
 F = Fraction
-
-
-class TestUniformCoefficients:
-    def test_and2(self, and2):
-        got = uniform_coefficients(and2)
-        assert got == {
-            (): F(-1, 2),
-            (0,): F(1, 2),
-            (2,): F(1, 2),
-            (0, 2): F(1, 2),
-        }
-
-    def test_par3(self, par3):
-        got = uniform_coefficients(par3)
-        assert got[(0, 1, 2)] == 1
-        assert sum(1 for v in got.values() if v) == 1
-
-    def test_constant(self):
-        assert uniform_coefficients(Junta(4, (), (1,))) == {(): F(1)}
-
-    def test_parseval_exact(self):
-        for f in random_suite(10, 6, 9, seed=17):
-            total = sum(v * v for v in uniform_coefficients(f).values())
-            assert total == 1
 
 
 class TestDyadicPolynomial:
@@ -123,9 +98,10 @@ class TestBiasedCoefficient:
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_uniform_limit(self, and2):
-        cs = uniform_coefficients(and2)
-        for S, want in cs.items():
-            assert biased_coefficient(and2, S, 0.0) == pytest.approx(float(want), abs=1e-12)
+        nums = walsh_numerators(and2.core)
+        for mask, S in enumerate([(), (0,), (2,), (0, 2)]):
+            want = nums[mask] / 2**and2.k
+            assert biased_coefficient(and2, S, 0.0) == pytest.approx(want, abs=1e-12)
 
 
 class TestBiasedSpectrum:

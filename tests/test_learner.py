@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,21 @@ class TestLearnJunta:
         assert report.status is LearnStatus.BUDGET_EXHAUSTED
         assert report.relevant == ()
         assert report.table is None
+
+    def test_budget_exhausted_in_restricted_constancy(self):
+        # bias 0.995 breaks the alpha=0.5 promise: the unrestricted check
+        # sees both labels and the scan confirms variable 2, but a draw with
+        # x2 = -1 is accepted at rate 0.0025, below what the per-draw
+        # attempt budget allows, so the first restricted check starves
+        f = Junta(8, (2, 5), (-1, -1, -1, 1))
+        p = params_for(4, 4, 0.5, samples_per_coeff=20_000, threshold=0.05)
+        report = learn_junta([Oracle(f, 0.995, master_seed=0)], p)
+        assert report.status is LearnStatus.BUDGET_EXHAUSTED
+        assert report.relevant == (2,)
+        assert report.table is None
+        unrestricted = constancy_sample_size(replace(p, delta=p.delta / (4 * 2**4)))
+        assert report.samples["constancy"][0] > unrestricted
+        assert report.samples["coefficients"] == {0: 20_000}
 
     def test_coverage_enforced(self, par3):
         p = params_for(3, 1, 0.5, samples_per_coeff=100, threshold=0.05)

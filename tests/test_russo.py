@@ -22,7 +22,6 @@ from juntalab import (
     poly_derivative,
     random_junta,
     root_set,
-    russo_residual,
     russo_rhs,
     squarefree_decomposition,
     theorem1_witness,
@@ -77,21 +76,28 @@ class TestRussoIdentity:
         with pytest.raises(InvalidParamsError):
             russo_rhs(and2, 0, 0.3)
 
+    @staticmethod
+    def derivative(f, s, r):
+        # exact rational derivative at the exact binary value of r
+        return float(poly_derivative(expectation_polynomial(f), s)(F(r)))
+
     def test_par3_exact_at_zero(self, par3):
-        assert russo_residual(par3, 3, 0.0) == 0.0
+        assert russo_rhs(par3, 3, 0.0) == self.derivative(par3, 3, 0.0) == 6.0
 
     def test_constant(self):
-        assert russo_residual(Junta(3, (), (1,)), 1, 0.5) == 0.0
+        f = Junta(3, (), (1,))
+        assert russo_rhs(f, 1, 0.5) == self.derivative(f, 1, 0.5) == 0.0
 
     def test_domain(self, and2):
         with pytest.raises(DomainError):
-            russo_residual(and2, 1, 1.0)
+            russo_rhs(and2, 1, 1.0)
 
     def test_residual_grid(self):
         for f in random_suite(12, 5, 8, seed=71):
             for s in range(1, f.k + 1):
                 for r in np.linspace(-0.9, 0.9, 7):
-                    assert russo_residual(f, s, float(r)) <= 1e-10
+                    r = float(r)
+                    assert abs(self.derivative(f, s, r) - russo_rhs(f, s, r)) <= 1e-10
 
 
 class TestPolyAlgebra:

@@ -156,6 +156,17 @@ class TestRecordReplay:
         with pytest.raises(BudgetExhaustedError):
             replay.draw_batch(1)
 
+    def test_negative_batch_size(self, and2):
+        stream = Oracle(and2, 0.25, master_seed=11).draw_batch(8)
+        replay = ReplayOracle(stream, 0.25)
+        replay.draw_batch(4)
+        with pytest.raises(InvalidParamsError):
+            replay.draw_batch(-3)
+        assert replay.draws == 4
+        nxt = replay.draw_batch(4)
+        assert np.array_equal(nxt.xs, stream.xs[4:])
+        assert np.array_equal(nxt.labels, stream.labels[4:])
+
     def test_csv_round_trip(self, tmp_path, par3):
         batch = Oracle(par3, 0.1, master_seed=5).draw_batch(20)
         path = tmp_path / "stream.csv"
