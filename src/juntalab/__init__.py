@@ -1,6 +1,7 @@
 """Biased-spectrum analysis and exact learning of Boolean juntas."""
 
 from .boolfn import (
+    MAX_AMBIENT_VARS,
     MAX_CORE_VARS,
     MAX_ENUM_VARS,
     Junta,

@@ -22,10 +22,12 @@ from .errors import (
     SizeLimitError,
 )
 
+MAX_AMBIENT_VARS = 1 << 20  # samplers and bias vectors hold n entries per row
 MAX_CORE_VARS = 20  # core tables are materialized, so k is capped at 2**20 entries
 MAX_ENUM_VARS = 14  # full-cube enumeration cap shared by the brute-force paths
 
 __all__ = [
+    "MAX_AMBIENT_VARS",
     "MAX_CORE_VARS",
     "MAX_ENUM_VARS",
     "Junta",
@@ -61,8 +63,10 @@ class Junta:
     core: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise InvalidParamsError(f"n must be a nonnegative integer, got {self.n!r}")
+        if not isinstance(self.n, int) or not 0 <= self.n <= MAX_AMBIENT_VARS:
+            raise InvalidParamsError(
+                f"n must be an integer in [0, {MAX_AMBIENT_VARS}], got {self.n!r}"
+            )
         rel = tuple(int(i) for i in self.relevant)
         if len(rel) > MAX_CORE_VARS:
             raise InvalidParamsError(
@@ -150,14 +154,6 @@ class Junta:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Junta":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidParamsError(f"malformed junta JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
 
 def random_junta(n: int, k: int, seed, require_nonconstant: bool = False) -> Junta:
     """Draw a junta with k relevant variables chosen uniformly and a uniform core.
@@ -165,8 +161,8 @@ def random_junta(n: int, k: int, seed, require_nonconstant: bool = False) -> Jun
     With ``require_nonconstant`` the core is redrawn until it is not constant,
     which forces k >= 1.
     """
-    if not 0 <= k <= n:
-        raise InvalidParamsError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not 0 <= k <= n <= MAX_AMBIENT_VARS:
+        raise InvalidParamsError(f"need 0 <= k <= n <= {MAX_AMBIENT_VARS}, got k={k}, n={n}")
     if k > MAX_CORE_VARS:
         raise InvalidParamsError(f"k={k} exceeds the core cap {MAX_CORE_VARS}")
     if require_nonconstant and k == 0:

@@ -16,20 +16,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 
-from .boolfn import Junta, _is_json_int, random_junta
+from .boolfn import MAX_AMBIENT_VARS, Junta, _is_json_int, random_junta
 from .errors import JuntaLabError
-from .fourier import (
-    _level_weight,
-    _subset_mask,
-    biased_spectrum,
-    expectation_polynomial,
-    relevant_subsets,
-)
+from .fourier import _level_weight, biased_spectrum, expectation_polynomial
 from .learner import LearnerParams, LearnReport, LearnStatus, learn_junta
 from .russo import _russo_rhs, poly_derivative, root_set
 from .sampling import (
@@ -98,8 +92,15 @@ def _cmd_spectrum(args) -> int:
     top = f.k if args.max_level is None else args.max_level
     if top < 0:
         raise JuntaLabError(f"--max-level must be nonnegative, got {top}")
-    spec = biased_spectrum(f, r)
-    coeffs = [(S, float(spec[_subset_mask(f, S)])) for S in relevant_subsets(f, top)]
+    spec = biased_spectrum(f, r).tolist()
+    # both combinations run over the same positions, so they stay in step:
+    # each relevant subset S, smallest first, beside the bits of its mask
+    bits = [1 << b for b in range(f.k)]
+    coeffs = [
+        (S, spec[sum(mask_bits)])
+        for size in range(min(top, f.k) + 1)
+        for S, mask_bits in zip(combinations(f.relevant, size), combinations(bits, size))
+    ]
     if args.csv:
         lines = ["S,value"]
         lines += [f"{'|'.join(str(i) for i in S)},{v!r}" for S, v in coeffs]
@@ -272,8 +273,8 @@ def _cmd_bench(args) -> int:
         )
         # fail before touching the output file
         params.validate(len(biases), require_coverage=True)
-        if k > n:
-            raise JuntaLabError(f"bench cell has k={k} > n={n}")
+        if not k <= n <= MAX_AMBIENT_VARS:
+            raise JuntaLabError(f"bench cell needs k <= n <= {MAX_AMBIENT_VARS}, got k={k}, n={n}")
         cells.append((n, k, s, params))
 
     out = Path(args.out)

@@ -66,15 +66,12 @@ class DyadicPolynomial:
         return not self.coeffs
 
     def __call__(self, r):
-        """Horner evaluation; exact when r is a Fraction or int."""
-        if isinstance(r, (Fraction, int)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * r + c
-            return acc
-        acc = 0.0
+        """Horner evaluation; exact when r is a Fraction or int.  Fraction
+        arithmetic with a float r is float arithmetic on float(c), so a float
+        r gives a float (the zero polynomial gives Fraction(0))."""
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * r + float(c)
+            acc = acc * r + c
         return acc
 
     def as_floats(self) -> list[float]:

@@ -1,11 +1,11 @@
 """Exact learning of juntas from bias-separated example oracles.
 
-The learner grows a set V of confirmed relevant variables.  Each round it
-checks every restriction of V for constancy; a non-constant restriction is
-handed to the threshold scan, which estimates all coefficients of size up to
-s at every oracle and returns a variable from the first estimate that clears
-the detection threshold.  When every restriction is constant the constancy
-values are the truth table.
+The learner grows a set V of confirmed relevant variables.  Each round one
+pass over one raw stream, at the oracle whose bias is nearest 0, checks
+every sign pattern of V for constancy; a non-constant pattern goes to the
+threshold scan, which estimates all coefficients of size up to s at every
+oracle and returns a variable of the first estimate above the threshold.
+When every pattern is constant their labels are the truth table.
 
 Draws from a restricted target are simulated by rejection: raw examples are
 discarded until the fixed coordinates match.  The scan never considers
@@ -137,16 +137,28 @@ def constancy_sample_size(params: LearnerParams) -> int:
     return math.ceil((2.0 / params.alpha) ** params.k * math.log(2.0 / params.delta))
 
 
-def check_constant(oracles: Sequence, params: LearnerParams):
-    """Draw the calibrated batch from the first oracle; return the common
-    label sign if all labels agree, else None."""
+def check_constant(oracles: Sequence, params: LearnerParams, V: Sequence[int] = ()):
+    """Count one raw stream of the first oracle by sign pattern p of V (bit b
+    set means V[b] = +1).  Returns (table, None) once each pattern has m =
+    constancy_sample_size rows, all labelled table[p], or (None, p) at the
+    first chunk where pattern p (the lowest) shows both labels.  The raw cap
+    is m * default_attempt_budget(alpha, |V|, m, k, delta)."""
     params.validate(len(oracles), require_coverage=False)
     m = constancy_sample_size(params)
-    labels = oracles[0].draw_batch(m).labels
-    first = int(labels[0])
-    if np.all(labels == first):
-        return first
-    return None
+    cap = m * default_attempt_budget(params.alpha, len(V), m, params.k, params.delta)
+    rows, ups = np.zeros((2, 1 << len(V)), dtype=np.int64)
+    spent = 0
+    while (low := int(rows.min())) < m:
+        chunk = _chunk_size(m - low, low, spent, len(V), cap)
+        batch = oracles[0].draw_batch(chunk)
+        spent += chunk
+        pattern = (batch.xs[:, list(V)] > 0) @ (1 << np.arange(len(V)))
+        rows += np.bincount(pattern, minlength=rows.size)
+        ups += np.bincount(pattern[batch.labels > 0], minlength=rows.size)
+        mixed = np.flatnonzero((ups > 0) & (ups < rows))
+        if mixed.size:
+            return None, int(mixed[0])
+    return tuple(np.where(ups > 0, 1, -1).tolist()), None
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +184,15 @@ def default_attempt_budget(alpha: float, rho_size: int, m: int, k: int, delta: f
     return math.ceil((2.0 / alpha) ** rho_size * math.log(arg)) * 4
 
 
+def _chunk_size(need: int, have: int, spent: int, fixed: int, cap: int) -> int:
+    """Raw draws for the next rejection chunk: the rows still needed over the
+    acceptance rate so far, (have + 1) / (spent + 2^fixed), which is 2^-fixed
+    before the first draw.  Raises BudgetExhaustedError at the raw cap."""
+    if spent >= cap:
+        raise BudgetExhaustedError(f"{have}/{have + need} rows after {spent} raw draws")
+    return min(math.ceil(need * (spent + (1 << fixed)) / (have + 1)), _CHUNK_CAP, cap - spent)
+
+
 class RestrictedOracle:
     """Oracle view of the target restricted by rho, via chunked rejection.
 
@@ -179,7 +200,7 @@ class RestrictedOracle:
     whatever the chunk sizes.  Batches may overshoot by part of a chunk;
     every raw draw is counted at the base oracle.  A draw_batch(m) call may
     spend at most m * b raw attempts where b is the per-draw budget formula
-    above.
+    above; with an empty rho it draws exactly m rows.
     """
 
     def __init__(self, inner, rho: Mapping[int, int], params: LearnerParams):
@@ -203,34 +224,20 @@ class RestrictedOracle:
         return self.inner.draws
 
     def draw_batch(self, m: int) -> ExampleBatch:
-        if not self.rho:
+        if m <= 0:
+            # the inner oracle serves an empty batch or rejects a negative size
             return self.inner.draw_batch(m)
-        per_draw = default_attempt_budget(
-            self._params.alpha, len(self.rho), m, self._params.k, self._params.delta
-        )
-        cap = m * per_draw
-        spent = 0
-        have = 0
+        p = self._params
+        cap = m * default_attempt_budget(p.alpha, len(self.rho), m, p.k, p.delta)
+        spent = have = 0
         parts: list[ExampleBatch] = []
         while have < m:
-            if spent >= cap:
-                raise BudgetExhaustedError(
-                    f"{have}/{m} restricted draws after {spent} raw attempts"
-                )
-            if spent == 0:
-                # probe chunk; the acceptance rate is unknown up front (the
-                # hidden bias must not be consulted)
-                want = max(256, min(4 * m, 4096))
-            else:
-                rate = max(have / spent, 1.0 / per_draw)
-                want = math.ceil((m - have) / rate * 1.2) + 64
-            chunk = min(max(want, 256), _CHUNK_CAP, cap - spent)
+            chunk = _chunk_size(m - have, have, spent, len(self.rho), cap)
             batch = self.inner.draw_batch(chunk)
             spent += chunk
             keep = np.all(batch.xs[:, self._idx] == self._vals, axis=1)
-            if np.any(keep):
-                parts.append(ExampleBatch(batch.xs[keep], batch.labels[keep]))
-                have += int(np.count_nonzero(keep))
+            parts.append(ExampleBatch(batch.xs[keep], batch.labels[keep]))
+            have += int(np.count_nonzero(keep))
         merged = ExampleBatch.concat(parts)
         return ExampleBatch(merged.xs[:m], merged.labels[:m])
 
@@ -281,13 +288,10 @@ def find_one_relevant(
     else:
         biases = _working_biases(oracles, params, params.delta / t)
     for oracle, r in zip(oracles, biases):
-        if params.samples_per_coeff is not None:
-            m = params.samples_per_coeff
-        else:
-            m = max(
-                hoeffding_sample_size(size, sigma(r), threshold, delta_coeff)
-                for size in range(1, params.s + 1)
-            )
+        m = params.samples_per_coeff
+        if m is None:
+            # each level multiplies the bound by 4 / sigma^2 >= 4, so size s needs most
+            m = hoeffding_sample_size(params.s, sigma(r), threshold, delta_coeff)
         batch = oracle.draw_batch(m)
         for S, value in estimate_level_batch(batch, params.s, r).items():
             if abs(value) > threshold and exclude.isdisjoint(S):
@@ -320,8 +324,8 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
 
     Returns ExactSuccess with the sorted variable set and its table,
     ConstantFunction for a constant target, BudgetExhausted when a scan or a
-    restricted-draw budget ran out, and Inconsistent when some restriction
-    still looks non-constant after k variables were found.  Sub-procedures
+    raw-draw cap ran out, and Inconsistent when some sign pattern of V still
+    shows both labels after k variables were found.  Sub-procedures
     run at confidence delta / (k * 2^k).
     """
     t0 = time.perf_counter()
@@ -342,35 +346,30 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
 
     with _count_draws(phases, oracles, "bias_estimation"):
         biases = _working_biases(oracles, sub_params, sub_delta)
+    # the constancy bound holds at any promised bias; nearest 0 evens the patterns
+    probe = [oracles[min(range(t), key=lambda j: abs(biases[j]))]]
 
     V: list[int] = []
     while True:
-        values: list[int] = []
         with _count_draws(phases, oracles, "constancy"):
             try:
-                for bits in range(1 << len(V)):
-                    rho = {V[b]: (1 if (bits >> b) & 1 else -1) for b in range(len(V))}
-                    views = oracles
-                    if rho:
-                        views = [RestrictedOracle(o, rho, sub_params) for o in oracles]
-                    c = check_constant(views, sub_params)
-                    if c is None:
-                        break
-                    values.append(c)
-                else:
-                    status = LearnStatus.EXACT_SUCCESS if V else LearnStatus.CONSTANT_FUNCTION
-                    return report(status, V, tuple(values))
+                table, bits = check_constant(probe, sub_params, V)
             except BudgetExhaustedError:
                 return report(LearnStatus.BUDGET_EXHAUSTED, V, None)
+        if table is not None:
+            status = LearnStatus.EXACT_SUCCESS if V else LearnStatus.CONSTANT_FUNCTION
+            return report(status, V, table)
         if len(V) == params.k:
-            # a full-depth restriction still shows both labels: the target is
-            # not an at-most-k junta consistent with what was found
+            # a full-depth pattern still shows both labels: the target is not
+            # an at-most-k junta consistent with what was found
             return report(LearnStatus.INCONSISTENT, V, None)
-        # the loop broke at a non-constant pattern: scan its views outside rho
+        # scan the non-constant pattern's views outside V
+        rho = {V[b]: (1 if (bits >> b) & 1 else -1) for b in range(len(V))}
+        views = [RestrictedOracle(o, rho, sub_params) for o in oracles]
         with _count_draws(phases, oracles, "coefficients"):
             try:
                 idx = find_one_relevant(
-                    views, sub_params, exclude=frozenset(rho), known_biases=biases
+                    views, sub_params, exclude=frozenset(V), known_biases=biases
                 )
             except (NoCoefficientFoundError, BudgetExhaustedError):
                 return report(LearnStatus.BUDGET_EXHAUSTED, V, None)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import parity_core, random_suite
 from juntalab import (
     InvalidIndexError,
+    MAX_AMBIENT_VARS,
     InvalidParamsError,
     Junta,
     LengthMismatchError,
@@ -42,6 +45,12 @@ class TestConstruction:
     def test_non_integer_n(self):
         with pytest.raises(InvalidParamsError):
             Junta(3.0, (), (1,))
+
+    def test_ambient_cap(self):
+        assert Junta(MAX_AMBIENT_VARS, (0,), (-1, 1)).n == MAX_AMBIENT_VARS
+        for n in (MAX_AMBIENT_VARS + 1, 10**20):
+            with pytest.raises(InvalidParamsError):
+                Junta(n, (0,), (-1, 1))
 
     def test_core_length(self):
         with pytest.raises(LengthMismatchError):
@@ -105,7 +114,7 @@ class TestEval:
 class TestJson:
     def test_round_trip(self, and2, par3):
         for f in (and2, par3, Junta(4, (), (1,))):
-            assert Junta.from_json(f.to_json()) == f
+            assert Junta.from_json_dict(json.loads(f.to_json())) == f
 
     def test_dict_shape(self, and2):
         d = and2.to_json_dict()
@@ -120,8 +129,10 @@ class TestJson:
             Junta.from_json_dict({"n": 1, "relevant": [0], "core": "0x"})
 
     def test_malformed_text(self):
-        with pytest.raises(InvalidParamsError):
-            Junta.from_json("{not json")
+        # JSON text that parses to something other than an object
+        for text in ('"{not json"', "[0, 1]", "null", "3"):
+            with pytest.raises(InvalidParamsError):
+                Junta.from_json_dict(json.loads(text))
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -129,7 +140,7 @@ class TestJson:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(0, 6))
         f = random_junta(int(rng.integers(max(k, 1), 10)), k, seed)
-        assert Junta.from_json(f.to_json()) == f
+        assert Junta.from_json_dict(json.loads(f.to_json())) == f
 
 
 class TestRandomJunta:
@@ -147,6 +158,8 @@ class TestRandomJunta:
             random_junta(3, -1, 0)
         with pytest.raises(InvalidParamsError):
             random_junta(30, 21, 0)
+        with pytest.raises(InvalidParamsError):
+            random_junta(10**20, 2, 0)
 
     def test_nonconstant_needs_variables(self):
         with pytest.raises(InvalidParamsError):

@@ -418,6 +418,23 @@ class TestBench:
         assert main(["bench", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 3
 
 
+@pytest.mark.parametrize("command", ["gen", "spectrum", "learn", "bench"])
+def test_huge_n_exits_2(tmp_path, capsys, command):
+    huge = 10**20
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"n": huge, "relevant": [0, 1], "core": "0001"}))
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--n", str(huge), "--k", "2", "--seed", "0", "--out", str(out)],
+        "spectrum": ["spectrum", "--fn", str(fn), "--bias", "0.2", "--out", str(out)],
+        "learn": ["learn", "--fn", str(fn), *LEARN_ARGS, "--report", str(out)],
+        "bench": ["bench", "--config", TestBench.config(tmp_path, n=huge), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     n=st.integers(2, 8),

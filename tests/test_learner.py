@@ -23,6 +23,7 @@ from juntalab import (
     default_threshold,
     find_one_relevant,
     learn_junta,
+    random_junta,
 )
 
 
@@ -90,12 +91,12 @@ class TestCheckConstant:
         p = params_for(0, 1, 0.5, delta=0.05)
         for seed in range(5):
             oracle = Oracle(Junta(8, (), (-1,)), 0.1, master_seed=seed)
-            assert check_constant([oracle], p) == -1
+            assert check_constant([oracle], p) == ((-1,), None)
 
     def test_and2_declared_nonconstant(self, and2):
         p = params_for(2, 1, 0.5, delta=0.05)
         hits = sum(
-            check_constant([Oracle(and2, 0.0, master_seed=seed)], p) is None
+            check_constant([Oracle(and2, 0.0, master_seed=seed)], p) == (None, 0)
             for seed in range(20)
         )
         assert hits >= 19
@@ -103,7 +104,7 @@ class TestCheckConstant:
     def test_par3_declared_nonconstant(self, par3):
         p = params_for(3, 1, 0.5, delta=0.05)
         hits = sum(
-            check_constant([Oracle(par3, 0.0, master_seed=seed)], p) is None
+            check_constant([Oracle(par3, 0.0, master_seed=seed)], p) == (None, 0)
             for seed in range(20)
         )
         assert hits >= 19
@@ -111,6 +112,57 @@ class TestCheckConstant:
     def test_sample_size(self):
         assert constancy_sample_size(params_for(2, 1, 0.5, delta=0.05)) == 60
         assert constancy_sample_size(params_for(0, 1, 1.0, delta=0.5)) == 2
+
+
+class TestConstancyPass:
+    def test_relevant_set_gives_the_core(self):
+        p = params_for(3, 1, 0.5)
+        for seed in range(6):
+            f = random_junta(12, 3, seed)
+            oracle = Oracle(f, 0.2 * (seed % 3 - 1), master_seed=seed)
+            assert check_constant([oracle], p, f.relevant) == (f.core, None)
+
+    def test_lowest_mixed_pattern(self, and2, par3):
+        p = params_for(3, 1, 0.5)
+        # AND2 is -1 wherever x0 = -1 (pattern 0) and x2 wherever x0 = +1
+        assert check_constant([Oracle(and2, 0.0, master_seed=1)], p, (0,)) == (None, 1)
+        # every pattern of two parity variables shows both labels
+        assert check_constant([Oracle(par3, 0.0, master_seed=1)], p, (0, 1)) == (None, 0)
+
+    def test_mixed_pattern_is_nonconstant_on_the_target(self):
+        p = params_for(4, 1, 0.5)
+        mixed = 0
+        for seed in range(12):
+            f = random_junta(10, 4, seed, require_nonconstant=True)
+            # two relevant variables and one the target ignores
+            spare = next(i for i in range(10) if i not in f.relevant)
+            V = tuple(sorted(f.relevant[1:3] + (spare,)))
+            table, bits = check_constant([Oracle(f, -0.3, master_seed=seed)], p, V)
+            if table is not None:
+                continue
+            mixed += 1
+            rho = {v: 1 if (bits >> b) & 1 else -1 for b, v in enumerate(V)}
+            seen = {
+                f.core[idx]
+                for idx in range(1 << f.k)
+                if all(
+                    ((idx >> b) & 1) == (rho[v] > 0)
+                    for b, v in enumerate(f.relevant)
+                    if v in rho
+                )
+            }
+            assert seen == {-1, 1}
+        assert mixed >= 6
+
+    def test_starving_pattern_exhausts_the_raw_cap(self, and2):
+        # x0 = x2 = -1 has probability 2.5e-5 at bias 0.99: one raw cap of
+        # draws holds far fewer than m rows of it
+        p = params_for(2, 1, 0.5)
+        oracle = Oracle(Junta(5, (0, 2), (-1, -1, -1, -1)), 0.99, master_seed=0)
+        with pytest.raises(BudgetExhaustedError):
+            check_constant([oracle], p, (0, 2))
+        m = constancy_sample_size(p)
+        assert oracle.draws == m * default_attempt_budget(p.alpha, 2, m, p.k, p.delta)
 
 
 class TestRestrictedDraw:
@@ -155,6 +207,16 @@ class TestRestrictedOracle:
         view = RestrictedOracle(Oracle(and2, 0.0, master_seed=2), {}, p)
         twin = Oracle(and2, 0.0, master_seed=2)
         assert np.array_equal(view.draw_batch(20).xs, twin.draw_batch(20).xs)
+        assert view.draws == 20
+
+    def test_empty_and_negative_batches(self, and2):
+        p = params_for(2, 1, 0.5)
+        view = RestrictedOracle(Oracle(and2, 0.0, master_seed=0), {0: 1}, p)
+        batch = view.draw_batch(0)
+        assert (batch.m, batch.n, view.draws) == (0, 5, 0)
+        with pytest.raises(InvalidParamsError):
+            view.draw_batch(-3)
+        assert view.draws == 0
 
     def test_budget_exhaustion(self):
         # claiming alpha=1 keeps the per-draw budget small while the true
@@ -318,19 +380,34 @@ class TestLearnJunta:
         assert report.table is None
 
     def test_budget_exhausted_in_restricted_constancy(self):
-        # bias 0.995 breaks the alpha=0.5 promise: the unrestricted check
-        # sees both labels and the scan confirms variable 2, but a draw with
-        # x2 = -1 is accepted at rate 0.0025, below what the per-draw
-        # attempt budget allows, so the first restricted check starves
+        # bias 0.995 breaks the alpha=0.5 promise.  Round one sees both labels
+        # and its scan confirms variable 2; in round two the pattern x2 = +1,
+        # where the target is x5, shows both labels and its scan confirms 5.
+        # In round three the pattern x2 = x5 = -1 has rate 6e-6, far below
+        # what the raw cap allows, so the pass starves.  The round-two scan
+        # pays 40 000 raw draws: its first chunk assumes rate 1/2.
         f = Junta(8, (2, 5), (-1, -1, -1, 1))
         p = params_for(4, 4, 0.5, samples_per_coeff=20_000, threshold=0.05)
         report = learn_junta([Oracle(f, 0.995, master_seed=0)], p)
         assert report.status is LearnStatus.BUDGET_EXHAUSTED
-        assert report.relevant == (2,)
+        assert report.relevant == (2, 5)
         assert report.table is None
         unrestricted = constancy_sample_size(replace(p, delta=p.delta / (4 * 2**4)))
         assert report.samples["constancy"][0] > unrestricted
-        assert report.samples["coefficients"] == {0: 20_000}
+        assert report.samples["coefficients"] == {0: 60_000}
+
+    @pytest.mark.parametrize("unknown", [False, True])
+    def test_constancy_draws_from_the_bias_nearest_zero(self, par3_wide, unknown):
+        p = params_for(
+            3, 1, 0.5, samples_per_coeff=20_000, threshold=0.05, unknown_biases=unknown
+        )
+        oracles = [
+            Oracle(par3_wide, r, master_seed=3, oracle_id=j)
+            for j, r in enumerate((-0.5, 0.0, 0.5))
+        ]
+        report = learn_junta(oracles, p)
+        assert report.status is LearnStatus.EXACT_SUCCESS
+        assert set(report.samples["constancy"]) == {1}
 
     def test_coverage_enforced(self, par3):
         p = params_for(3, 1, 0.5, samples_per_coeff=100, threshold=0.05)
