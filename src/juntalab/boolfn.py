@@ -50,6 +50,12 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _sign_pattern(xs: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Table index of each row's signs on cols: bit b is cols[b], set means +1."""
+    bits = (xs[:, list(cols)] > 0).astype(np.int64)
+    return bits @ (1 << np.arange(len(cols), dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class Junta:
     """A function of n variables depending only on the ``relevant`` ones.
@@ -89,13 +95,6 @@ class Junta:
     def k(self) -> int:
         return len(self.relevant)
 
-    def core_index(self, x: Sequence[int]) -> int:
-        idx = 0
-        for b, var in enumerate(self.relevant):
-            if x[var] > 0:
-                idx |= 1 << b
-        return idx
-
     def eval(self, x: Sequence[int]) -> int:
         """Evaluate at one assignment of all n variables."""
         if len(x) != self.n:
@@ -103,7 +102,7 @@ class Junta:
         for v in x:
             if v != -1 and v != 1:
                 raise InvalidParamsError(f"assignment entries must be -1 or +1, got {v!r}")
-        return self.core[self.core_index(x)]
+        return self.core[_sign_pattern(np.asarray(x)[None, :], self.relevant)[0]]
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of an (m, n) array of sign rows.
@@ -113,11 +112,7 @@ class Junta:
         xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[1] != self.n:
             raise LengthMismatchError(f"expected shape (m, {self.n}), got {xs.shape}")
-        if self.k == 0:
-            return np.full(xs.shape[0], self.core[0], dtype=np.int8)
-        bits = (xs[:, list(self.relevant)] > 0).astype(np.int64)
-        idx = bits @ (1 << np.arange(self.k, dtype=np.int64))
-        return np.asarray(self.core, dtype=np.int8)[idx]
+        return np.asarray(self.core, dtype=np.int8)[_sign_pattern(xs, self.relevant)]
 
     def constant_value(self) -> int | None:
         """The constant sign if the core table is constant, else None.

@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .boolfn import _sign_pattern
 from .errors import (
     BudgetExhaustedError,
     InvalidIndexError,
@@ -138,12 +139,18 @@ def constancy_sample_size(params: LearnerParams) -> int:
 
 
 def check_constant(oracles: Sequence, params: LearnerParams, V: Sequence[int] = ()):
-    """Count one raw stream of the first oracle by sign pattern p of V (bit b
-    set means V[b] = +1).  Returns (table, None) once each pattern has m =
-    constancy_sample_size rows, all labelled table[p], or (None, p) at the
-    first chunk where pattern p (the lowest) shows both labels.  The raw cap
-    is m * default_attempt_budget(alpha, |V|, m, k, delta)."""
+    """Count one raw stream of the first oracle by sign pattern p of V, whose
+    indices must be distinct and in [0, n) (bit b set means V[b] = +1).
+    Returns (table, None) once each pattern has m = constancy_sample_size
+    rows, all labelled table[p], or (None, p) at the first chunk where
+    pattern p (the lowest) shows both labels.  The raw cap is
+    m * default_attempt_budget(alpha, |V|, m, k, delta)."""
     params.validate(len(oracles), require_coverage=False)
+    n = oracles[0].n
+    if not all(0 <= i < n for i in V):
+        raise InvalidIndexError(f"pattern indices {tuple(V)} must lie in [0, {n})")
+    if len(set(V)) < len(V):
+        raise InvalidParamsError(f"pattern indices must be distinct, got {tuple(V)}")
     m = constancy_sample_size(params)
     cap = m * default_attempt_budget(params.alpha, len(V), m, params.k, params.delta)
     rows, ups = np.zeros((2, 1 << len(V)), dtype=np.int64)
@@ -152,7 +159,7 @@ def check_constant(oracles: Sequence, params: LearnerParams, V: Sequence[int] = 
         chunk = _chunk_size(m - low, low, spent, len(V), cap)
         batch = oracles[0].draw_batch(chunk)
         spent += chunk
-        pattern = (batch.xs[:, list(V)] > 0) @ (1 << np.arange(len(V)))
+        pattern = _sign_pattern(batch.xs, V)
         rows += np.bincount(pattern, minlength=rows.size)
         ups += np.bincount(pattern[batch.labels > 0], minlength=rows.size)
         mixed = np.flatnonzero((ups > 0) & (ups < rows))
@@ -230,16 +237,16 @@ class RestrictedOracle:
         p = self._params
         cap = m * default_attempt_budget(p.alpha, len(self.rho), m, p.k, p.delta)
         spent = have = 0
-        parts: list[ExampleBatch] = []
+        xs, labels = [], []
         while have < m:
             chunk = _chunk_size(m - have, have, spent, len(self.rho), cap)
             batch = self.inner.draw_batch(chunk)
             spent += chunk
             keep = np.all(batch.xs[:, self._idx] == self._vals, axis=1)
-            parts.append(ExampleBatch(batch.xs[keep], batch.labels[keep]))
-            have += int(np.count_nonzero(keep))
-        merged = ExampleBatch.concat(parts)
-        return ExampleBatch(merged.xs[:m], merged.labels[:m])
+            xs.append(batch.xs[keep])
+            labels.append(batch.labels[keep])
+            have += len(labels[-1])
+        return ExampleBatch(np.concatenate(xs)[:m], np.concatenate(labels)[:m])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A bias vector r in (-1,1)^n defines the product measure giving each
 coordinate mean r_i, i.e. P(x_i = +1) = (1 + r_i) / 2.  The standardized
 characters chi_S(x, r) = prod_{i in S} (x_i - r_i) / sigma_i form an
-orthonormal family under it, with sigma_i = sqrt(1 - r_i^2).
+orthonormal family under it, with sigma_i = sqrt(1 - r_i^2).  The sampler
+serves the learning model's case, one bias r shared by every coordinate.
 """
 
 from __future__ import annotations
@@ -63,21 +64,25 @@ def density(rv, x: Sequence[int]) -> float:
     return float(np.prod((1.0 + rv * x) / 2.0))
 
 
-def sample_batch(rv, rng: np.random.Generator, m: int, n: int | None = None) -> np.ndarray:
-    """(m, n) assignments from the r-biased measure, rows independent.
+# Each working block holds at most this many float64 entries, so neither the
+# sampler's uniforms nor the moment engine's products grow with the sample size.
+_CHUNK_ELEMS = 1 << 18
+
+
+def sample_batch(r: float, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """(m, n) assignments from the measure with every coordinate of bias r.
 
     Consumes exactly one uniform stream draw per entry, row by row and in
     index order within a row, so a fixed generator state yields the same
-    block however it is split into calls.
+    block however it is split into calls.  The uniforms are drawn in blocks
+    of at most _CHUNK_ELEMS entries, written into the int8 output in place.
     """
-    if n is None:
-        n = len(np.atleast_1d(np.asarray(rv, dtype=np.float64)))
-    rv = as_bias_vector(rv, n)
-    p = (1.0 + rv) / 2.0
+    r = float(r)
+    if not -1.0 < r < 1.0:
+        raise DomainError(f"bias must lie in (-1, 1), got {r}")
+    p = (1.0 + r) / 2.0
     out = np.empty((m, n), dtype=np.int8)
-    # chunked so a large request never materializes m*n float64 at once; the
-    # comparison writes straight into the output, mapped 1/0 to 1/-1 in place
-    chunk = 65536
+    chunk = max(1, _CHUNK_ELEMS // max(1, n))
     u = np.empty((min(m, chunk), n))
     for start in range(0, m, chunk):
         block = out[start : start + chunk]

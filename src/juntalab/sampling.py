@@ -7,8 +7,8 @@ factor in the calibration.
 
 Every coefficient estimate comes from one moment engine.  For +/-1 data,
 
-    sum_t y_t prod_{i in S} (x_{t,i} - r_i)
-        = sum_{T subset S} prod_{i in S \\ T} (-r_i) * M_T,
+    sum_t y_t prod_{i in S} (x_{t,i} - r)
+        = sum_{T subset S} (-r)^{|S \\ T|} * M_T,
     M_T = sum_t y_t prod_{i in T} x_{t,i},
 
 and each M_T is an integer.  The engine computes the moments of every subset
@@ -36,7 +36,7 @@ from .errors import (
     EmptySampleError,
     InvalidParamsError,
 )
-from .measure import as_bias_vector, sample_batch, sigma, sigma_vector
+from .measure import _CHUNK_ELEMS, as_bias_vector, sample_batch, sigma, sigma_vector
 
 __all__ = [
     "ExampleBatch",
@@ -76,13 +76,6 @@ class ExampleBatch:
     @property
     def n(self) -> int:
         return self.xs.shape[1]
-
-    @classmethod
-    def concat(cls, parts: Sequence["ExampleBatch"]) -> "ExampleBatch":
-        return cls(
-            np.concatenate([p.xs for p in parts], axis=0),
-            np.concatenate([p.labels for p in parts]),
-        )
 
 
 class Oracle:
@@ -205,11 +198,6 @@ def bias_sample_size(gamma: float, delta: float) -> int:
 # estimators
 
 
-# Each block of rows in the moment products holds at most this many float64
-# entries, so the engine's working memory does not grow with the sample size.
-_CHUNK_ELEMS = 1 << 18
-
-
 def _next_products(w: np.ndarray, xt: np.ndarray, j: int) -> np.ndarray:
     """Rows y * prod_{i in P} x_i for every j-subset P of the rows of xt, in
     colex order, from w holding those of the (j-1)-subsets.
@@ -230,8 +218,9 @@ def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> list:
     """Exact moments M_T of every column subset T with |T| <= s.
 
     tables[0] is M_empty; for l >= 1, tables[l][p][i] is M_{P + {i}} where P
-    is the (l-1)-subset of colex rank p and i > max(P).  Working memory is
-    O(_CHUNK_ELEMS + C(n, s-1) * n) whatever the number of rows.
+    is the (l-1)-subset of colex rank p and i > max(P).  Each block of rows
+    holds at most _CHUNK_ELEMS products, the sampler's budget, so working
+    memory is O(_CHUNK_ELEMS + C(n, s-1) * n) whatever the number of rows.
     """
     m, c = xs.shape
     widths = [math.comb(c, j) for j in range(s)]
@@ -255,8 +244,9 @@ def _moment(tables: list, T: Sequence[int]) -> float:
     return tables[len(T)][rank][T[-1]]
 
 
-def _combine(tables: list, S: Sequence[int], rv: list, sig: list, m: int) -> float:
-    """The estimate (1/m) sum_t y_t chi_S(x_t, r) from exact moments.
+def _combine(tables: list, S: Sequence[int], r: float, sig: float, m: int) -> float:
+    """The estimate (1/m) sum_t y_t chi_S(x_t, r) from exact moments, with
+    sig = sigma(r).
 
     Sums the expansion over T subset S in one fixed order, so every caller
     gets the same bits for the same subset, bias and example block.
@@ -264,17 +254,17 @@ def _combine(tables: list, S: Sequence[int], rv: list, sig: list, m: int) -> flo
     acc = 0.0
     for mask in range(1 << len(S)):
         term = _moment(tables, [i for b, i in enumerate(S) if mask >> b & 1])
-        for b, i in enumerate(S):
+        for b in range(len(S)):
             if not mask >> b & 1:
-                term *= -rv[i]
+                term *= -r
         acc += term
     scale = 1.0
-    for i in S:
-        scale *= sig[i]
+    for _ in S:
+        scale *= sig
     return acc / scale / m
 
 
-def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r) -> float:
+def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> float:
     """Empirical coefficient (1/m) sum_t label_t * chi_S(x_t, r).
 
     Costs O(m * 2^|S|) for the moments of every subset of S.
@@ -285,12 +275,14 @@ def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r) -> float:
     for i in S:
         if not 0 <= i < batch.n:
             raise DomainError(f"subset index {i} outside [0, {batch.n})")
-    rv = as_bias_vector(r, batch.n)[S]
+    r, sig = float(r), sigma(r)
     tables = _moment_tables(batch.xs[:, S], batch.labels, len(S))
-    return _combine(tables, range(len(S)), rv.tolist(), sigma_vector(rv).tolist(), batch.m)
+    return _combine(tables, range(len(S)), r, sig, batch.m)
 
 
-def estimate_level_batch(batch: ExampleBatch, s_max: int, r) -> dict[tuple[int, ...], float]:
+def estimate_level_batch(
+    batch: ExampleBatch, s_max: int, r: float
+) -> dict[tuple[int, ...], float]:
     """Estimates for every subset of size 1..s_max, reusing one example block.
 
     Keys run by size, then in lexicographic order.  The moments of all
@@ -302,12 +294,11 @@ def estimate_level_batch(batch: ExampleBatch, s_max: int, r) -> dict[tuple[int, 
         raise EmptySampleError("coefficient estimation needs at least one example")
     if s_max < 1:
         raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
-    rv = as_bias_vector(r, batch.n)
+    r, sig = float(r), sigma(r)
     top = min(s_max, batch.n)
     tables = _moment_tables(batch.xs, batch.labels, top)
-    rl, sig = rv.tolist(), sigma_vector(rv).tolist()
     return {
-        S: _combine(tables, S, rl, sig, batch.m)
+        S: _combine(tables, S, r, sig, batch.m)
         for size in range(1, top + 1)
         for S in combinations(range(batch.n), size)
     }

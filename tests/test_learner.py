@@ -109,6 +109,25 @@ class TestCheckConstant:
         )
         assert hits >= 19
 
+    def test_pattern_index_past_n(self, and2):
+        oracle = Oracle(and2, 0.0, master_seed=0)
+        with pytest.raises(InvalidIndexError):
+            check_constant([oracle], params_for(2, 1, 0.5), (7,))
+        assert oracle.draws == 0
+
+    def test_negative_pattern_index(self, and2):
+        oracle = Oracle(and2, 0.0, master_seed=0)
+        with pytest.raises(InvalidIndexError):
+            check_constant([oracle], params_for(2, 1, 0.5), (-1,))
+        assert oracle.draws == 0
+
+    def test_repeated_pattern_index(self):
+        # patterns 1 and 2 of V = (0, 0) can never occur
+        oracle = Oracle(Junta(5, (), (-1,)), 0.0, master_seed=0)
+        with pytest.raises(InvalidParamsError):
+            check_constant([oracle], params_for(2, 1, 0.5), (0, 0))
+        assert oracle.draws == 0
+
     def test_sample_size(self):
         assert constancy_sample_size(params_for(2, 1, 0.5, delta=0.05)) == 60
         assert constancy_sample_size(params_for(0, 1, 1.0, delta=0.5)) == 2

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from juntalab import measure
 from juntalab import (
     DomainError,
     LengthMismatchError,
@@ -80,30 +82,47 @@ class TestDensity:
 
 class TestSampling:
     def test_batch_shape_and_values(self):
-        xs = sample_batch([0.2, -0.2, 0.0], np.random.default_rng(1), 100)
+        xs = sample_batch(0.2, np.random.default_rng(1), 100, 3)
         assert xs.shape == (100, 3)
         assert set(np.unique(xs)) <= {-1, 1}
 
     def test_empirical_mean(self):
-        rv = np.array([0.6, -0.4, 0.0, 0.25])
-        xs = sample_batch(rv, np.random.default_rng(33), 200_000)
-        err = np.abs(xs.mean(axis=0) - rv)
-        assert np.all(err < 0.01)
+        rng = np.random.default_rng(33)
+        for r in (0.6, -0.4, 0.0, 0.25):
+            xs = sample_batch(r, rng, 200_000, 4)
+            err = np.abs(xs.mean(axis=0) - r)
+            assert np.all(err < 0.01)
 
     def test_extreme_bias(self):
         xs = sample_batch(0.999, np.random.default_rng(2), 1000, n=2)
         assert xs.mean() > 0.99
 
+    def test_bias_domain(self):
+        for r in (-1.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(DomainError):
+                sample_batch(r, np.random.default_rng(0), 10, 3)
+
     def test_stream_pinned_across_chunks(self):
         # the seeded streams that record, replay and the release gate rely on:
         # one uniform per coordinate in row order, +1 exactly when u < (1 + r) / 2
-        rv = np.array([0.6, -0.4, 0.0, 0.25, -0.9])
-        m = 65536 + 17
-        got = sample_batch(rv, np.random.default_rng(21), m)
-        u = np.random.default_rng(21).random((m, 5))
-        want = np.where(u < (1.0 + rv) / 2.0, 1, -1).astype(np.int8)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, want)
+        m = 2 * (measure._CHUNK_ELEMS // 5) + 17
+        for r in (0.6, -0.4, 0.0, 0.25, -0.9):
+            got = sample_batch(r, np.random.default_rng(21), m, 5)
+            u = np.random.default_rng(21).random((m, 5))
+            want = np.where(u < (1.0 + r) / 2.0, 1, -1).astype(np.int8)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want)
+
+    def test_working_memory(self):
+        # beyond its int8 output the sampler holds one block of uniforms
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            xs = sample_batch(0.3, rng, 200_000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - xs.nbytes <= 4 * 2**20
 
 
 class TestChi:

@@ -91,13 +91,6 @@ class TestExampleBatch:
         with pytest.raises(InvalidParamsError):
             ExampleBatch(np.ones(3), np.ones(3))
 
-    def test_concat(self):
-        a = ExampleBatch(np.ones((2, 3), dtype=np.int8), np.ones(2, dtype=np.int8))
-        b = ExampleBatch(-np.ones((1, 3), dtype=np.int8), -np.ones(1, dtype=np.int8))
-        c = ExampleBatch.concat([a, b])
-        assert c.m == 3
-        assert c.labels.tolist() == [1, 1, -1]
-
 
 class TestOracle:
     def test_deterministic_stream(self, par3_wide):
@@ -131,15 +124,15 @@ class TestOracle:
 
     def test_split_draws_equal_one_draw(self, and2):
         # --dump re-draws each oracle's stream in one call, so the rows must
-        # not depend on how the run split them; the sizes cross the
-        # sampler's 65 536-row chunk
+        # not depend on how the run split them; on 5 columns the sizes cross
+        # the sampler's block of _CHUNK_ELEMS // 5 = 52 428 rows
         sizes = [0, 3, 65_534, 0, 7, 65_540, 1]
         oracle = Oracle(and2, 0.35, master_seed=21, oracle_id=2)
-        split = ExampleBatch.concat([oracle.draw_batch(m) for m in sizes])
+        parts = [oracle.draw_batch(m) for m in sizes]
         whole = Oracle(and2, 0.35, master_seed=21, oracle_id=2).draw_batch(oracle.draws)
         assert oracle.draws == sum(sizes)
-        assert np.array_equal(split.xs, whole.xs)
-        assert np.array_equal(split.labels, whole.labels)
+        assert np.array_equal(np.concatenate([b.xs for b in parts]), whole.xs)
+        assert np.array_equal(np.concatenate([b.labels for b in parts]), whole.labels)
 
 
 class TestRecordReplay:
@@ -270,15 +263,12 @@ def _engine_cases(draw):
     m = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
-        rv = np.full(n, draw(st.floats(-0.95, 0.95)))
-    else:
-        rv = rng.uniform(-0.95, 0.95, size=n)
+    r = draw(st.floats(-0.95, 0.95))
     xs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n))
     labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
     size = draw(st.integers(0, min(3, n)))
     S = tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
-    return ExampleBatch(xs, labels), rv, S, draw(st.integers(1, 97))
+    return ExampleBatch(xs, labels), r, S, draw(st.integers(1, 97))
 
 
 class TestMomentEngine:
@@ -286,14 +276,15 @@ class TestMomentEngine:
     @settings(max_examples=150, deadline=None)
     def test_matches_fsum_reference(self, case):
         # a small block budget makes m span several blocks, most ending short
-        batch, rv, S, chunk_elems = case
+        batch, r, S, chunk_elems = case
+        rv = np.full(batch.n, r)
         with mock.patch.object(sampling, "_CHUNK_ELEMS", chunk_elems):
-            got = estimate_coefficient(batch, S, rv)
-            table = estimate_level_batch(batch, 3, rv)
+            got = estimate_coefficient(batch, S, r)
+            table = estimate_level_batch(batch, 3, r)
         assert abs(got - fsum_coefficient(batch, S, rv)) <= 1e-12
         for T, val in table.items():
             assert abs(val - fsum_coefficient(batch, T, rv)) <= 1e-12
-            assert val == estimate_coefficient(batch, T, rv)
+            assert val == estimate_coefficient(batch, T, r)
 
     def test_default_blocks_with_ragged_tail(self, and2):
         # level 2 on 5 columns takes blocks of _CHUNK_ELEMS // (1 + 5 + 5) rows
