@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,6 +62,9 @@ class Junta:
 
     ``relevant`` is a strictly increasing tuple of 0-based ambient indices
     and ``core`` holds the 2**k values of the function on those variables.
+    The read-only arrays ``table`` and ``walsh`` are built from ``core`` on
+    first use and kept on the instance; equality, hashing, copies and pickles
+    see only the three fields.
     """
 
     n: int
@@ -91,9 +94,28 @@ class Junta:
         object.__setattr__(self, "relevant", rel)
         object.__setattr__(self, "core", core)
 
+    def __reduce__(self):
+        # copies rebuild the arrays on first use rather than carry them
+        return (Junta, (self.n, self.relevant, self.core))
+
     @property
     def k(self) -> int:
         return len(self.relevant)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The core as a read-only int8 array, built once per junta."""
+        t = np.array(self.core, dtype=np.int8)
+        t.setflags(write=False)
+        return t
+
+    @cached_property
+    def walsh(self) -> np.ndarray:
+        """The Walsh numerators of the core (see walsh_numerators) as a
+        read-only int64 array, built once per junta."""
+        w = _walsh(self.table)
+        w.setflags(write=False)
+        return w
 
     def eval(self, x: Sequence[int]) -> int:
         """Evaluate at one assignment of all n variables."""
@@ -112,7 +134,7 @@ class Junta:
         xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[1] != self.n:
             raise LengthMismatchError(f"expected shape (m, {self.n}), got {xs.shape}")
-        return np.asarray(self.core, dtype=np.int8)[_sign_pattern(xs, self.relevant)]
+        return self.table[_sign_pattern(xs, self.relevant)]
 
     def constant_value(self) -> int | None:
         """The constant sign if the core table is constant, else None.
@@ -173,7 +195,7 @@ def random_junta(n: int, k: int, seed, require_nonconstant: bool = False) -> Jun
 def relevant_variables_bruteforce(f: Junta) -> frozenset[int]:
     """Exact flip test over the full core table: i is relevant iff flipping
     x_i changes f at some point."""
-    t = np.asarray(f.core)
+    t = f.table
     # in the (-1, 2, 2**b) view, [:, 0] and [:, 1] differ only in bit b
     flips = [np.any(np.diff(t.reshape(-1, 2, 1 << b), axis=1)) for b in range(f.k)]
     return frozenset(var for var, flip in zip(f.relevant, flips) if flip)
@@ -202,7 +224,9 @@ def walsh_numerators(core: Sequence[int]) -> list[int]:
     Returns W indexed by subset mask with W[mask] = sum_x core(x) * prod_{b in
     mask} x_b, so the level-0 orthonormal coefficient of the core function is
     W[mask] / 2**k.  Exact: the transform runs in int64, and a table whose
-    transform could overflow it raises InvalidParamsError.
+    transform could overflow it raises InvalidParamsError.  Each call runs
+    the transform afresh; ``Junta.walsh`` is the same transform of a junta's
+    core, run once and kept.
     """
     return _walsh(core).tolist()
 
@@ -210,7 +234,7 @@ def walsh_numerators(core: Sequence[int]) -> list[int]:
 def degree(f: Junta) -> int:
     """Largest subset size carrying a nonzero coefficient of the core, from
     the exact Walsh transform.  Constants have degree 0."""
-    return int(np.bitwise_count(np.flatnonzero(_walsh(f.core))).max(initial=0))
+    return int(np.bitwise_count(np.flatnonzero(f.walsh)).max(initial=0))
 
 
 @lru_cache(maxsize=8)

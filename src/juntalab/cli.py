@@ -48,8 +48,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError:
+        raise JuntaLabError(f"{path} is not UTF-8 text") from None
+
+
 def _load_junta(path: str) -> Junta:
-    return Junta.from_json_dict(json.loads(Path(path).read_text()))
+    return Junta.from_json_dict(json.loads(_read_text(path)))
+
+
+def _check_seed(seed: int, what: str) -> None:
+    # numpy's seed sequences take only non-negative integers
+    if seed < 0:
+        raise JuntaLabError(f"{what} must be a non-negative integer, got {seed}")
 
 
 def _parse_biases(text: str) -> list[float]:
@@ -81,6 +94,7 @@ def _stream_path(prefix: str, j: int) -> str:
 
 
 def _cmd_gen(args) -> int:
+    _check_seed(args.seed, "--seed")
     f = random_junta(args.n, args.k, args.seed, require_nonconstant=not args.allow_constant)
     _emit(_json_text(f.to_json_dict()), args.out)
     return 0
@@ -185,6 +199,7 @@ def _report_payload(report: LearnReport) -> dict:
 
 
 def _cmd_learn(args) -> int:
+    _check_seed(args.seed, "--seed")
     biases = _parse_biases(args.biases)
     params = LearnerParams(
         k=args.k,
@@ -234,7 +249,7 @@ def _json_number(value, key: str) -> float:
 
 
 def _cmd_bench(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = json.loads(_read_text(args.config))
     if not isinstance(cfg, dict):
         raise JuntaLabError("bench config must be a JSON object")
     try:
@@ -259,6 +274,7 @@ def _cmd_bench(args) -> int:
     if not isinstance(unknown, bool):
         raise JuntaLabError(f"bench unknown_biases must be true or false, got {unknown!r}")
     _check_biases(biases)
+    _check_seed(master, "bench master_seed")
     cells = []
     for n, k, s in product(ns, ks, ss):
         params = LearnerParams(
@@ -281,7 +297,7 @@ def _cmd_bench(args) -> int:
     header = "n,k,s,trial,status,relevant,samples,wall_ms\n"
     done = 0
     if out.exists() and out.stat().st_size > 0:
-        text = out.read_text()
+        text = _read_text(out)
         existing = text.splitlines()
         if existing and existing[0] != header.strip():
             raise JuntaLabError(f"{out} exists but is not a bench output file")

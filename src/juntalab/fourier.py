@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 # perfbench/tracing.py wraps walsh_numerators in this module, so it stays imported
-from .boolfn import Junta, _walsh, assignments, walsh_numerators  # noqa: F401
+from .boolfn import Junta, assignments, walsh_numerators  # noqa: F401
 from .errors import DomainError, InvalidParamsError
 from .measure import as_bias_vector, sigma, sigma_vector
 
@@ -93,15 +93,34 @@ def _subset_mask(f: Junta, S: Iterable[int]) -> int | None:
 
 def biased_coefficient(f: Junta, S: Iterable[int], r) -> float:
     """Coefficient of chi_S under bias r: the entry of biased_spectrum at the
-    mask of S.
+    mask of S, computed from the 2**(k - |S|) supersets of S alone.
 
-    Subsets not contained in the relevant set have coefficient exactly 0.
+    In biased_spectrum an entry at a superset of S is only ever updated from
+    another superset of S: the r-pass over a bit of S reads the supersets
+    and writes none of them, and the r-pass over a free bit pairs supersets
+    with supersets.  So folding the supersets' r-passes over the free bits
+    in ascending order, then multiplying by sigma for each bit of S in
+    ascending order, performs the same float operations on the same values
+    and returns the spectrum's entry bit for bit.  Subsets not contained in
+    the relevant set have coefficient exactly 0.
     """
     rv = as_bias_vector(r, f.n)
     mask = _subset_mask(f, S)
     if mask is None:
         return 0.0
-    return float(biased_spectrum(f, rv)[mask])
+    rr = rv[list(f.relevant)]
+    sig = sigma_vector(rr)
+    vals = _superset_walsh(f, mask) / (1 << f.k)
+    # each fold is the spectrum's r-pass at the lowest free bit left; the
+    # entries with that bit set are never read again, so they are dropped
+    for b in range(f.k):
+        if not mask >> b & 1:
+            vals = vals[0::2] + rr[b] * vals[1::2]
+    value = vals[0]
+    for b in range(f.k):
+        if mask >> b & 1:
+            value *= sig[b]
+    return float(value)
 
 
 def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Fraction:
@@ -118,26 +137,34 @@ def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Frac
     return sum(w * r**t for t, w in enumerate(sums)) / (1 << f.k)
 
 
+def _superset_walsh(f: Junta, mask: int) -> np.ndarray:
+    """The Walsh numerators W[T] of the supersets T of mask, ascending in T:
+    entry i is the superset whose bits outside mask are the bits of i, laid
+    on the free positions in order."""
+    # C order puts bit 0 on the last axis, so the view's axes run high bit first
+    idx = tuple(1 if mask >> b & 1 else slice(None) for b in reversed(range(f.k)))
+    return f.walsh.reshape((2,) * f.k)[idx].ravel()
+
+
 def _superset_level_sums(f: Junta, mask: int) -> list[int]:
     """Entry t sums the Walsh numerators W[T] over the supersets T of mask
     with t elements outside it; exact, since each |sum| <= 2**k * 2**k."""
-    nums = _walsh(f.core)
-    sup = np.arange(1 << f.k)
-    sup = sup[sup & mask == mask]
+    nums = _superset_walsh(f, mask)
     sums = np.zeros(f.k + 1, dtype=np.int64)
-    np.add.at(sums, np.bitwise_count(sup ^ mask), nums[sup])
+    np.add.at(sums, np.bitwise_count(np.arange(nums.size)), nums)
     return sums.tolist()
 
 
 def biased_spectrum(f: Junta, r) -> np.ndarray:
     """All 2**k biased coefficients at once, indexed by relevant-subset mask.
 
-    The change-of-basis identity applied bit by bit: one pass absorbs r_i
-    into supersets, a second applies the sigma factors.
+    The change-of-basis identity applied bit by bit to the junta's kept
+    Walsh transform: one pass absorbs r_i into supersets, a second applies
+    the sigma factors.
     """
     rv = as_bias_vector(r, f.n)
     k = f.k
-    out = _walsh(f.core) / (1 << k)
+    out = f.walsh / (1 << k)
     rr = rv[list(f.relevant)]
     sig = sigma_vector(rr)
     # in the (-1, 2, 2**b) view, [:, 1] are the masks with bit b set, [:, 0] without it

@@ -146,11 +146,17 @@ def dump_examples_csv(batch: ExampleBatch, path) -> None:
 def load_examples_csv(path) -> ExampleBatch:
     """Read a stream written by dump_examples_csv; every entry must be -1 or 1."""
     with open(path) as fh:
-        if not any(line.strip() for line in fh):
+        try:
+            blank = not any(line.strip() for line in fh)
+        except UnicodeDecodeError:
+            raise InvalidParamsError(f"{path} is not UTF-8 text") from None
+        if blank:
             raise EmptySampleError(f"no examples in {path}")
         fh.seek(0)
         try:
-            # the format has no comments: a '#' line is a malformed row
+            # the format has no comments: a '#' line is a malformed row; bytes
+            # that are not UTF-8 beyond what the scan above read raise
+            # UnicodeDecodeError, a ValueError
             data = np.loadtxt(fh, delimiter=",", dtype=np.int8, ndmin=2, comments=None)
         except ValueError as exc:
             raise InvalidParamsError(f"{path} is not a table of -1/1 entries: {exc}") from None

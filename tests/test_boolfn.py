@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from juntalab import (
     LengthMismatchError,
     SizeLimitError,
     assignments,
+    biased_spectrum,
     degree,
     random_junta,
     relevant_variables_bruteforce,
@@ -229,6 +232,47 @@ class TestWalshAndDegree:
     def test_degree_bounded_by_true_relevant(self):
         for f in random_suite(15, 6, 8, seed=303):
             assert degree(f) <= len(relevant_variables_bruteforce(f))
+
+
+class TestCachedArrays:
+    def test_values(self, par3):
+        assert par3.table.dtype == np.int8
+        assert par3.table.tolist() == list(par3.core)
+        assert par3.walsh.dtype == np.int64
+        assert par3.walsh.tolist() == walsh_numerators(par3.core)
+        assert par3.walsh is par3.walsh
+
+    def test_read_only(self, and2):
+        with pytest.raises(ValueError):
+            and2.table[0] = 1
+        with pytest.raises(ValueError):
+            and2.walsh[0] = 0
+        assert and2.core == (-1, -1, -1, 1)
+
+    def test_core_stays_a_tuple_of_int(self, and2):
+        assert and2.table.size == and2.walsh.size == 4
+        assert type(and2.core) is tuple
+        assert all(type(v) is int for v in and2.core)
+
+    def test_equality_and_hash_ignore_the_caches(self):
+        a = random_junta(12, 5, 3)
+        b = Junta(a.n, a.relevant, a.core)
+        assert a == b and hash(a) == hash(b)
+        assert a.walsh.size == 32
+        assert a == b and hash(a) == hash(b)
+        assert b.table.size == 32
+        assert a == b and hash(a) == hash(b)
+        assert a != Junta(a.n, a.relevant, tuple(-v for v in a.core))
+
+    def test_copies_give_the_same_spectra(self):
+        f = random_junta(12, 6, 4)
+        want = biased_spectrum(f, 0.3)
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f
+            assert biased_spectrum(g, 0.3).tobytes() == want.tobytes()
+            assert degree(g) == degree(f)
+            with pytest.raises(ValueError):
+                g.walsh[0] = 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,9 @@ from conftest import parity_core
 from juntalab import Junta, Oracle, dump_examples_csv, level_weight, random_junta, russo_rhs
 from juntalab.cli import main
 
+# bytes that cannot start a UTF-8 sequence, after a valid first line
+NOT_UTF8 = b"1,-1,1\n\xff\xfe\x00\x80,1\n"
+
 
 @pytest.fixture
 def and2_path(tmp_path):
@@ -366,8 +369,10 @@ class TestBench:
 
     def test_foreign_file_rejected(self, tmp_path):
         out = tmp_path / "notes.csv"
-        out.write_text("something else\n")
-        assert main(["bench", "--config", self.config(tmp_path), "--out", str(out)]) == 2
+        for foreign in (b"something else\n", NOT_UTF8):
+            out.write_bytes(foreign)
+            assert main(["bench", "--config", self.config(tmp_path), "--out", str(out)]) == 2
+            assert out.read_bytes() == foreign
 
     def test_bad_grid(self, tmp_path):
         out = tmp_path / "runs.csv"
@@ -429,6 +434,39 @@ def test_huge_n_exits_2(tmp_path, capsys, command):
         "spectrum": ["spectrum", "--fn", str(fn), "--bias", "0.2", "--out", str(out)],
         "learn": ["learn", "--fn", str(fn), *LEARN_ARGS, "--report", str(out)],
         "bench": ["bench", "--config", TestBench.config(tmp_path, n=huge), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "learn", "bench"])
+def test_negative_seed_exits_2(and2_12_path, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--n", "6", "--k", "2", "--seed", "-1", "--out", str(out)],
+        "learn": ["learn", "--fn", and2_12_path, *LEARN_ARGS, "--seed", "-1",
+                  "--report", str(out)],
+        "bench": ["bench", "--config", TestBench.config(tmp_path, master_seed=-1),
+                  "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bench", "learn"])
+def test_input_not_utf8_exits_2(tmp_path, capsys, command):
+    binary = tmp_path / "binary"
+    binary.write_bytes(NOT_UTF8)
+    (tmp_path / "streams_oracle0.csv").write_bytes(NOT_UTF8)
+    (tmp_path / "streams_oracle1.csv").write_text("1,-1,1\n")
+    out = tmp_path / "out"
+    argv = {
+        "spectrum": ["spectrum", "--fn", str(binary), "--bias", "0.2", "--out", str(out)],
+        "bench": ["bench", "--config", str(binary), "--out", str(out)],
+        "learn": ["learn", "--replay", str(tmp_path / "streams"), *LEARN_ARGS,
+                  "--report", str(out)],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

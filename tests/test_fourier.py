@@ -19,6 +19,7 @@ from juntalab import (
     biased_coefficient_bruteforce,
     biased_coefficient_rational,
     biased_spectrum,
+    degree,
     expectation_polynomial,
     level_weight,
     level_weight_direct,
@@ -108,12 +109,14 @@ class TestBiasedSpectrum:
     def test_matches_per_subset(self):
         rng = np.random.default_rng(5)
         for f in random_suite(10, 6, 9, seed=5):
-            rv = rng.uniform(-0.85, 0.85, size=f.n)
-            spec = biased_spectrum(f, rv)
-            assert spec.shape == (1 << f.k,)
-            for mask in range(1 << f.k):
-                S = tuple(f.relevant[b] for b in range(f.k) if (mask >> b) & 1)
-                assert spec[mask] == pytest.approx(biased_coefficient(f, S, rv), abs=1e-10)
+            # the superset path repeats the spectrum's float operations, so
+            # the two agree exactly at scalar and at vector biases
+            for r in (float(rng.uniform(-0.85, 0.85)), rng.uniform(-0.85, 0.85, size=f.n)):
+                spec = biased_spectrum(f, r)
+                assert spec.shape == (1 << f.k,)
+                for mask in range(1 << f.k):
+                    S = tuple(f.relevant[b] for b in range(f.k) if (mask >> b) & 1)
+                    assert biased_coefficient(f, S, r) == spec[mask]
 
     def test_constant(self):
         spec = biased_spectrum(Junta(3, (), (-1,)), 0.4)
@@ -174,9 +177,13 @@ class TestExpectationPolynomial:
         assert expectation_polynomial(Junta(2, (), (-1,))).coeffs == (F(-1),)
 
     def test_keeps_no_junta_alive(self):
+        # the engine's arrays live on the junta, so nothing outlives it
         f = random_junta(8, 6, 5)
         ref = weakref.ref(f)
         expectation_polynomial(f)
+        biased_spectrum(f, 0.3)
+        biased_coefficient(f, f.relevant[:2], -0.4)
+        degree(f)
         del f
         gc.collect()
         assert ref() is None

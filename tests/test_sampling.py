@@ -195,6 +195,15 @@ class TestRecordReplay:
         with pytest.raises(InvalidParamsError, match="not a table of -1/1 entries"):
             load_examples_csv(path)
 
+    # bad bytes in the first read block, and past the block the blank-file
+    # scan reads
+    @pytest.mark.parametrize("data", [b"1,-1,1\n\xff\xfe,1\n", b"1,-1,1\n" * 20_000 + b"1,\xff,1\n"])
+    def test_csv_must_be_utf8(self, tmp_path, data):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(data)
+        with pytest.raises(InvalidParamsError):
+            load_examples_csv(path)
+
 
 class TestEstimateCoefficient:
     def test_empty_set_is_label_mean(self, and2):
