@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -302,6 +303,23 @@ class TestMomentEngine:
         rv = np.full(5, 0.3)
         for S, val in estimate_level_batch(batch, 2, 0.3).items():
             assert abs(val - fsum_coefficient(batch, S, rv)) <= 1e-12
+
+    def test_golden_bits(self):
+        # values recorded from the colex-layout engine; 5000 rows at n = 12
+        # span several row blocks at s = 3
+        f = Junta(12, (1, 4, 9), parity_core(3))
+        batch = Oracle(f, -0.35, master_seed=21).draw_batch(5000)
+        table = estimate_level_batch(batch, 3, -0.35)
+        assert len(table) == 298
+        digest = hashlib.sha256(",".join(v.hex() for v in table.values()).encode())
+        assert digest.hexdigest() == (
+            "9790c6e9f48fd53dea10c806a01859977f60bec7636813418bd95bab153986f4"
+        )
+        assert table[(1,)].hex() == "0x1.1c211cd9b06bcp-3"
+        assert table[(4, 9)].hex() == "-0x1.284237ae0fb33p-2"
+        assert table[(1, 4, 9)].hex() == "0x1.ab18ac0de2351p-1"
+        got = estimate_coefficient(batch, (1, 4, 9), -0.35)
+        assert got.hex() == "0x1.ab18ac0de2351p-1"
 
 
 class TestEstimateBias:
