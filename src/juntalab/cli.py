@@ -131,6 +131,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_russo_check(args) -> int:
+    # a NaN or negative tolerance would fail every residual, even 0.0
+    if not args.tol >= 0.0:
+        raise JuntaLabError(f"--tol must be a non-negative number, got {args.tol}")
     f = _load_junta(args.fn)
     biases = _parse_biases(args.bias)
     max_s = args.max_order if args.max_order is not None else max(f.k, 1)
@@ -232,6 +235,14 @@ def _cmd_learn(args) -> int:
     return 0 if ok else 1
 
 
+# every key a bench config may hold; any other is an error, so that a
+# misspelled optional key cannot silently fall back to its default
+_BENCH_KEYS = frozenset(
+    "n k s biases trials master_seed alpha gamma delta "
+    "samples_per_coeff threshold unknown_biases".split()
+)
+
+
 def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
@@ -252,10 +263,15 @@ def _cmd_bench(args) -> int:
     cfg = json.loads(_read_text(args.config))
     if not isinstance(cfg, dict):
         raise JuntaLabError("bench config must be a JSON object")
+    unknown_keys = sorted(set(cfg) - _BENCH_KEYS)
+    if unknown_keys:
+        raise JuntaLabError(f"bench config has unknown keys: {', '.join(map(repr, unknown_keys))}")
     try:
         ns = [_json_int(v, "n") for v in _as_list(cfg["n"])]
         ks = [_json_int(v, "k") for v in _as_list(cfg["k"])]
         ss = [_json_int(v, "s") for v in _as_list(cfg["s"])]
+        if not isinstance(cfg["biases"], list):
+            raise JuntaLabError(f"bench biases must be a JSON list, got {cfg['biases']!r}")
         biases = [_json_number(b, "biases") for b in cfg["biases"]]
         trials = _json_int(cfg["trials"], "trials")
         master = _json_int(cfg["master_seed"], "master_seed")
@@ -275,6 +291,8 @@ def _cmd_bench(args) -> int:
         raise JuntaLabError(f"bench unknown_biases must be true or false, got {unknown!r}")
     _check_biases(biases)
     _check_seed(master, "bench master_seed")
+    if trials < 0:
+        raise JuntaLabError(f"bench trials must be non-negative, got {trials}")
     cells = []
     for n, k, s in product(ns, ks, ss):
         params = LearnerParams(

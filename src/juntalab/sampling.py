@@ -204,62 +204,42 @@ def bias_sample_size(gamma: float, delta: float) -> int:
 # estimators
 
 
-def _next_products(w: np.ndarray, xt: np.ndarray, j: int) -> np.ndarray:
-    """Rows y * prod_{i in P} x_i for every j-subset P of the rows of xt, in
-    colex order, from w holding those of the (j-1)-subsets.
-
-    In colex order the j-subsets whose largest element is ``last`` form one
-    contiguous block, and their remainders are the first C(last, j-1)
-    (j-1)-subsets.
-    """
-    c, rows = xt.shape
-    out = np.empty((math.comb(c, j), rows))
-    for last in range(j - 1, c):
-        lo, cnt = math.comb(last, j), math.comb(last, j - 1)
-        np.multiply(w[:cnt], xt[last], out=out[lo : lo + cnt])
-    return out
-
-
 def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> list:
     """Exact moments M_T of every column subset T with |T| <= s.
 
-    tables[0] is M_empty; for l >= 1, tables[l][p][i] is M_{P + {i}} where P
-    is the (l-1)-subset of colex rank p and i > max(P).  Each block of rows
-    holds at most _CHUNK_ELEMS products, the sampler's budget, so working
-    memory is O(_CHUNK_ELEMS + C(n, s-1) * n) whatever the number of rows.
+    tables[l] is a float64 array of shape (c,) * l that holds M_T at index T
+    for every l-tuple T of the c columns; only increasing tuples are read.
+    Level l's product rows y * prod_{i in T} x_i come from one broadcast of
+    level l-1's rows against the columns.  Each block of rows holds at most
+    _CHUNK_ELEMS products, the sampler's budget, so working memory is
+    O(_CHUNK_ELEMS + n^s) whatever the number of rows.
     """
     m, c = xs.shape
-    widths = [math.comb(c, j) for j in range(s)]
-    rows = max(1, _CHUNK_ELEMS // max(1, sum(widths) + c))
-    products = [np.zeros((width, c)) for width in widths]
+    rows = max(1, _CHUNK_ELEMS // max(1, sum(c**j for j in range(s)) + c))
+    products = [np.zeros((c**j, c)) for j in range(s)]
     for start in range(0, m, rows):
-        # one row per column, so each product extension writes whole rows
-        xt = xs[start : start + rows].T.astype(np.float64, order="C")
+        x = xs[start : start + rows].astype(np.float64)
         w = labels[start : start + rows].astype(np.float64)[None, :]
         for j in range(1, s + 1):
-            products[j - 1] += w @ xt.T
+            products[j - 1] += w @ x
             if j < s:
-                w = _next_products(w, xt, j)
-    return [float(labels.sum(dtype=np.int64))] + [table.tolist() for table in products]
-
-
-def _moment(tables: list, T: Sequence[int]) -> float:
-    if not T:
-        return tables[0]
-    rank = sum(math.comb(i, b + 1) for b, i in enumerate(T[:-1]))
-    return tables[len(T)][rank][T[-1]]
+                w = (w[:, None, :] * x.T).reshape(-1, len(x))
+    top = [table.reshape((c,) * j) for j, table in enumerate(products, 1)]
+    return [np.array(float(labels.sum(dtype=np.int64)))] + top
 
 
 def _combine(tables: list, S: Sequence[int], r: float, sig: float, m: int) -> float:
     """The estimate (1/m) sum_t y_t chi_S(x_t, r) from exact moments, with
     sig = sigma(r).
 
-    Sums the expansion over T subset S in one fixed order, so every caller
-    gets the same bits for the same subset, bias and example block.
+    Reads M_T for each T subset S as tables[|T|] at the index T, and sums
+    the expansion in one fixed order, so every caller gets the same bits for
+    the same subset, bias and example block.
     """
     acc = 0.0
     for mask in range(1 << len(S)):
-        term = _moment(tables, [i for b, i in enumerate(S) if mask >> b & 1])
+        T = [i for b, i in enumerate(S) if mask >> b & 1]
+        term = tables[len(T)].item(*T)
         for b in range(len(S)):
             if not mask >> b & 1:
                 term *= -r

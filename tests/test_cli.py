@@ -172,6 +172,15 @@ class TestRussoCheck:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+    def test_bad_tol(self, and2_path, tol, capsys):
+        # glued with "=": argparse reads a bare "-1e-9" as an option
+        code = main(["russo-check", "--fn", and2_path, "--bias", "0.5", f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestRoots:
     def test_par3(self, par3_path, capsys):
@@ -411,6 +420,11 @@ class TestBench:
             {**valid, "gamma": "0.2"},
             {**valid, "threshold": False},
             {**valid, "alpha": 10**400},
+            # a misspelled optional key would run at its default
+            {**valid, "treshold": 0.08},
+            {**valid, "samples_per_coef": 4000},
+            {**valid, "trials": -1},
+            {**valid, "biases": "0.3"},
         ]:
             cfg.write_text(json.dumps(bad))
             capsys.readouterr()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -320,6 +321,20 @@ class TestMomentEngine:
         assert table[(1, 4, 9)].hex() == "0x1.ab18ac0de2351p-1"
         got = estimate_coefficient(batch, (1, 4, 9), -0.35)
         assert got.hex() == "0x1.ab18ac0de2351p-1"
+
+    @pytest.mark.parametrize("n, s, m", [(40, 2, 20_000), (12, 3, 5_000)])
+    def test_working_memory_independent_of_rows(self, n, s, m):
+        f = Junta(n, (1, 4, 9), parity_core(3))
+        peaks = []
+        for size in (m, 10 * m):
+            batch = Oracle(f, 0.3, master_seed=5).draw_batch(size)
+            tracemalloc.start()
+            try:
+                estimate_level_batch(batch, s, 0.3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 class TestEstimateBias:
