@@ -204,42 +204,56 @@ def bias_sample_size(gamma: float, delta: float) -> int:
 # estimators
 
 
-def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> list:
-    """Exact moments M_T of every column subset T with |T| <= s.
+def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> dict:
+    """Exact moments M_T of every column subset T with |T| <= s, keyed by T
+    as an increasing tuple of column indices.
 
-    tables[l] is a float64 array of shape (c,) * l that holds M_T at index T
-    for every l-tuple T of the c columns; only increasing tuples are read.
-    Level l's product rows y * prod_{i in T} x_i come from one broadcast of
-    level l-1's rows against the columns.  Each block of rows holds at most
-    _CHUNK_ELEMS products, the sampler's budget, so working memory is
-    O(_CHUNK_ELEMS + n^s) whatever the number of rows.
+    Level j keeps one product row y * prod_{i in P} x_i per j-subset P of
+    the c columns, in lexicographic order.  The j-subsets whose least
+    element is f are f joined to the (j-1)-subsets of {f+1, ..., c-1}, which
+    are the last C(c-f-1, j-1) rows of level j-1.  A matrix product of level
+    j-1's rows with the columns gives M_{P + {i}} for every (j-1)-subset P
+    and column i; the entries with i > max(P), in row order, are the
+    j-subsets in lexicographic order.  A block holds at most
+    max(_CHUNK_ELEMS, c + w) products, with w = sum_{j<s} C(c, j) rows per
+    example, so working memory is O(_CHUNK_ELEMS + c * w) whatever the
+    number of rows.
     """
     m, c = xs.shape
-    rows = max(1, _CHUNK_ELEMS // max(1, sum(c**j for j in range(s)) + c))
-    products = [np.zeros((c**j, c)) for j in range(s)]
+    widths = [math.comb(c, j) for j in range(s)]
+    rows = max(1, _CHUNK_ELEMS // max(1, sum(widths) + c))
+    products = [np.zeros((width, c)) for width in widths]
     for start in range(0, m, rows):
-        x = xs[start : start + rows].astype(np.float64)
+        # one row per column, so each product extension writes whole rows
+        xt = xs[start : start + rows].T.astype(np.float64, order="C")
         w = labels[start : start + rows].astype(np.float64)[None, :]
         for j in range(1, s + 1):
-            products[j - 1] += w @ x
+            products[j - 1] += w @ xt.T
             if j < s:
-                w = (w[:, None, :] * x.T).reshape(-1, len(x))
-    top = [table.reshape((c,) * j) for j, table in enumerate(products, 1)]
-    return [np.array(float(labels.sum(dtype=np.int64)))] + top
+                nxt, lo = np.empty((widths[j], len(w[0]))), 0
+                for f in range(c - j + 1):
+                    tail = w[len(w) - math.comb(c - f - 1, j - 1) :]
+                    np.multiply(tail, xt[f], out=nxt[lo : lo + len(tail)])
+                    lo += len(tail)
+                w = nxt
+    moments = {(): float(labels.sum(dtype=np.int64))}
+    for j, table in enumerate(products):
+        last = np.array([max(P, default=-1) for P in combinations(range(c), j)])
+        above = table[np.arange(c) > last[:, None]].tolist()
+        moments.update(zip(combinations(range(c), j + 1), above))
+    return moments
 
 
-def _combine(tables: list, S: Sequence[int], r: float, sig: float, m: int) -> float:
+def _combine(moments: dict, S: Sequence[int], r: float, sig: float, m: int) -> float:
     """The estimate (1/m) sum_t y_t chi_S(x_t, r) from exact moments, with
-    sig = sigma(r).
+    sig = sigma(r) and S increasing.
 
-    Reads M_T for each T subset S as tables[|T|] at the index T, and sums
-    the expansion in one fixed order, so every caller gets the same bits for
-    the same subset, bias and example block.
+    Sums the expansion over T subset S in one fixed order, so every caller
+    gets the same bits for the same subset, bias and example block.
     """
     acc = 0.0
     for mask in range(1 << len(S)):
-        T = [i for b, i in enumerate(S) if mask >> b & 1]
-        term = tables[len(T)].item(*T)
+        term = moments[tuple([i for b, i in enumerate(S) if mask >> b & 1])]
         for b in range(len(S)):
             if not mask >> b & 1:
                 term *= -r
@@ -262,8 +276,8 @@ def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> flo
         if not 0 <= i < batch.n:
             raise DomainError(f"subset index {i} outside [0, {batch.n})")
     r, sig = float(r), sigma(r)
-    tables = _moment_tables(batch.xs[:, S], batch.labels, len(S))
-    return _combine(tables, range(len(S)), r, sig, batch.m)
+    moments = _moment_tables(batch.xs[:, S], batch.labels, len(S))
+    return _combine(moments, range(len(S)), r, sig, batch.m)
 
 
 def estimate_level_batch(
@@ -282,12 +296,8 @@ def estimate_level_batch(
         raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
     r, sig = float(r), sigma(r)
     top = min(s_max, batch.n)
-    tables = _moment_tables(batch.xs, batch.labels, top)
-    return {
-        S: _combine(tables, S, r, sig, batch.m)
-        for size in range(1, top + 1)
-        for S in combinations(range(batch.n), size)
-    }
+    moments = _moment_tables(batch.xs, batch.labels, top)
+    return {S: _combine(moments, S, r, sig, batch.m) for S in moments if S}
 
 
 def estimate_bias(batch: ExampleBatch) -> float:

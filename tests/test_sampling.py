@@ -322,6 +322,26 @@ class TestMomentEngine:
         got = estimate_coefficient(batch, (1, 4, 9), -0.35)
         assert got.hex() == "0x1.ab18ac0de2351p-1"
 
+    def test_wide_subsets_stay_compact(self):
+        # level j holds C(c, j) moments, so the 10 columns of S need 2^10 of
+        # them and a full scan of 8 columns 2^8, not c^|S| (10^10 and 8^8)
+        rv = np.full(12, 0.3)
+        batch = Oracle(Junta(12, (1, 4, 9), parity_core(3)), 0.3, master_seed=3).draw_batch(3000)
+        narrow = ExampleBatch(batch.xs[:, :8], batch.labels)
+        S = (0, 1, 2, 3, 4, 5, 7, 8, 9, 11)
+        tracemalloc.start()
+        try:
+            got = estimate_coefficient(batch, S, 0.3)
+            table = estimate_level_batch(narrow, 8, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert abs(got - fsum_coefficient(batch, S, rv)) <= 1e-12
+        assert len(table) == 255
+        for T, val in table.items():
+            assert abs(val - fsum_coefficient(narrow, T, rv)) <= 1e-12
+
     @pytest.mark.parametrize("n, s, m", [(40, 2, 20_000), (12, 3, 5_000)])
     def test_working_memory_independent_of_rows(self, n, s, m):
         f = Junta(n, (1, 4, 9), parity_core(3))
