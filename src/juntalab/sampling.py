@@ -139,8 +139,31 @@ class ReplayOracle:
 
 
 def dump_examples_csv(batch: ExampleBatch, path) -> None:
-    """One row per example: n sign columns then the label, all -1/1."""
-    np.savetxt(path, np.column_stack([batch.xs, batch.labels]), fmt="%d", delimiter=",")
+    """Write one row per example: the n signs, then the label.
+
+    Each entry is ``1`` or ``-1``, a ``,`` separates entries, and a ``\\n``
+    follows every row, the last one included.  There is no header, so an
+    empty batch (an oracle that was never consulted) gives an empty file.
+    The writer holds one block of rows at a time (at most _CHUNK_ELEMS
+    entries, or one wider row): it fills a ``-1,`` template per entry, drops
+    the ``-`` of every +1 entry and writes the rest.  An entry other than -1
+    or 1 raises InvalidParamsError.
+    """
+    m, width = batch.m, batch.n + 1
+    rows = max(1, _CHUNK_ELEMS // width)
+    template = np.empty((min(m, rows), width, 3), dtype=np.uint8)
+    template[...] = np.frombuffer(b"-1,", dtype=np.uint8)
+    template[:, -1, 2] = ord("\n")
+    keep = np.ones(template.shape, dtype=bool)
+    with open(path, "wb") as fh:
+        for start in range(0, m, rows):
+            xs, labels = batch.xs[start : start + rows], batch.labels[start : start + rows]
+            if not (np.all(np.abs(xs) == 1) and np.all(np.abs(labels) == 1)):
+                raise InvalidParamsError("example streams hold only -1 and 1 entries")
+            block = keep[: len(xs)]
+            np.less(xs, 0, out=block[:, :-1, 0])
+            np.less(labels, 0, out=block[:, -1, 0])
+            fh.write(template[: len(xs)][block])
 
 
 def load_examples_csv(path) -> ExampleBatch:
@@ -214,14 +237,18 @@ def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> dict:
     are the last C(c-f-1, j-1) rows of level j-1.  A matrix product of level
     j-1's rows with the columns gives M_{P + {i}} for every (j-1)-subset P
     and column i; the entries with i > max(P), in row order, are the
-    j-subsets in lexicographic order.  A block holds at most
-    max(_CHUNK_ELEMS, c + w) products, with w = sum_{j<s} C(c, j) rows per
-    example, so working memory is O(_CHUNK_ELEMS + c * w) whatever the
-    number of rows.
+    j-subsets in lexicographic order.  Each example needs c + w products,
+    with w = sum_{j<s} C(c, j).  Every block adds the whole C(c, s-1) * c
+    top table, so a block takes enough rows to build at least that many
+    products, and otherwise as many as fit in _CHUNK_ELEMS.  A block thus
+    holds at most max(_CHUNK_ELEMS, C(c, s-1) * c + c + w) products, and
+    working memory is O(_CHUNK_ELEMS + c * w) whatever the number of rows.
     """
     m, c = xs.shape
     widths = [math.comb(c, j) for j in range(s)]
-    rows = max(1, _CHUNK_ELEMS // max(1, sum(widths) + c))
+    per_row = max(1, sum(widths) + c)
+    top = widths[-1] * c if widths else 0
+    rows = max(1, -(-top // per_row), _CHUNK_ELEMS // per_row)
     products = [np.zeros((width, c)) for width in widths]
     for start in range(0, m, rows):
         # one row per column, so each product extension writes whole rows

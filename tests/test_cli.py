@@ -4,12 +4,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import parity_core
-from juntalab import Junta, Oracle, dump_examples_csv, level_weight, random_junta, russo_rhs
+from juntalab import (
+    Junta,
+    JuntaLabError,
+    Oracle,
+    level_weight,
+    load_examples_csv,
+    random_junta,
+    russo_rhs,
+)
 from juntalab.cli import main
 
 # bytes that cannot start a UTF-8 sequence, after a valid first line
@@ -288,7 +297,8 @@ class TestLearn:
         for j, b in enumerate(biases):
             want = tmp_path / f"want{j}.csv"
             fresh = Oracle(f, b, master_seed=7, oracle_id=j)
-            dump_examples_csv(fresh.draw_batch(samples.get(f"oracle_{j}", 0)), want)
+            batch = fresh.draw_batch(samples.get(f"oracle_{j}", 0))
+            np.savetxt(want, np.column_stack([batch.xs, batch.labels]), fmt="%d", delimiter=",")
             got = Path(f"{prefix}_oracle{j}.csv").read_bytes()
             assert got == want.read_bytes(), j
 
@@ -510,3 +520,44 @@ def test_dump_then_replay_reproduces_any_run(n, k, target_seed, seed, unknown):
     a.pop("wall_ms")
     b.pop("wall_ms")
     assert a == b
+
+
+# one oracle with k = 1, and so few rows per coefficient that a stream that
+# loads can also run the learner
+REPLAY_ARGS = [
+    "--biases=0.3", "--k", "1", "--s", "1", "--alpha", "0.6", "--gamma", "0.2",
+    "--delta", "0.1", "--samples-per-coeff", "20", "--threshold", "0.08",
+]
+STREAM_BYTES = list(b"-10,\n\r #+.\xff")
+
+
+@st.composite
+def _replay_streams(draw):
+    """Byte strings over STREAM_BYTES: a table of -1/1 rows, then a few
+    insertions that may break it."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.sampled_from([b"1", b"-1"]), min_size=width, max_size=width)
+    data = bytearray(b"".join(b",".join(r) + b"\n" for r in draw(st.lists(row, max_size=12))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.lists(st.sampled_from(STREAM_BYTES), min_size=1, max_size=20))
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_replay_streams())
+def test_replay_of_any_stream_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = str(Path(tmp) / "streams")
+        path = Path(f"{prefix}_oracle0.csv")
+        path.write_bytes(data)
+        try:
+            load_examples_csv(path)
+            rejected = False
+        except JuntaLabError:
+            rejected = True
+        code = main(["learn", "--replay", prefix, *REPLAY_ARGS,
+                     "--report", str(Path(tmp) / "report.json")])
+    assert code in (0, 1, 2)
+    if rejected:
+        assert code == 2

@@ -170,6 +170,35 @@ class TestRecordReplay:
         assert np.array_equal(back.xs, batch.xs)
         assert np.array_equal(back.labels, batch.labels)
 
+    @pytest.mark.parametrize(
+        "case", ["empty", "one_row", "many_blocks", "fortran", "strided", "int64", "wide_rows"]
+    )
+    def test_csv_bytes_match_savetxt(self, tmp_path, case):
+        signs = np.random.default_rng(4).choice(np.array([-1, 1], dtype=np.int8), size=(60, 9))
+        xs, labels, chunk = {
+            "empty": (signs[:0, :5], signs[:0, 5], sampling._CHUNK_ELEMS),
+            "one_row": (signs[:1, :5], signs[:1, 5], sampling._CHUNK_ELEMS),
+            # 10 entries per row, so 6 rows per block and a short last block
+            "many_blocks": (signs[:57, :9], signs[:57, 0], 64),
+            "fortran": (np.asfortranarray(signs[:, :6]), signs[:, 8], sampling._CHUNK_ELEMS),
+            "strided": (signs[::3, ::2], signs[1::3, 7], sampling._CHUNK_ELEMS),
+            "int64": (signs[:, :4].astype(np.int64), signs[:, 4].astype(np.int64), 64),
+            # every row is wider than a block, so each block is one row
+            "wide_rows": (signs[:5, :8], signs[:5, 8], 4),
+        }[case]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        with mock.patch.object(sampling, "_CHUNK_ELEMS", chunk):
+            dump_examples_csv(ExampleBatch(xs, labels), got)
+        np.savetxt(want, np.column_stack([xs, labels]), fmt="%d", delimiter=",")
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("bad", [0, 2, -128])
+    def test_csv_writer_rejects_non_signs(self, tmp_path, bad):
+        xs = np.ones((4, 3), dtype=np.int8)
+        xs[2, 1] = bad
+        with pytest.raises(InvalidParamsError):
+            dump_examples_csv(ExampleBatch(xs, np.ones(4, dtype=np.int8)), tmp_path / "s.csv")
+
     def test_empty_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
         for text in ["", " \n\t\n\n"]:
@@ -355,6 +384,31 @@ class TestMomentEngine:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+    def test_blocks_cover_the_top_table(self):
+        # at n = 40, s = 4 the element budget alone gives blocks of 24 rows,
+        # each adding the whole 9 880 x 40 top table; blocks now take 37 rows
+        batch = Oracle(Junta(40, (1, 4, 9), parity_core(3)), 0.3, master_seed=6).draw_batch(100)
+        moments = sampling._moment_tables(batch.xs, batch.labels, 4)
+        assert len(moments) == sum(math.comb(40, j) for j in range(5))
+        keys = list(moments)
+        y = batch.labels.astype(np.int64)
+        for i in np.random.default_rng(0).choice(len(keys), 300, replace=False):
+            T = keys[i]
+            cols = np.prod(batch.xs[:, list(T)], axis=1, dtype=np.int64)
+            assert moments[T] == int((y * cols).sum()), T
+
+    def test_wide_level1_blocks_stay_within_budget(self):
+        # the level-1 top table is one row of c moments, so 4 000 columns
+        # still take blocks of _CHUNK_ELEMS // 4 001 rows, not c rows
+        batch = Oracle(Junta(4000, (1, 4, 9), parity_core(3)), 0.3, master_seed=5).draw_batch(4000)
+        tracemalloc.start()
+        try:
+            estimate_level_batch(batch, 1, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestEstimateBias:
