@@ -49,7 +49,7 @@ from .learner import (
     find_one_relevant,
     learn_junta,
 )
-from .measure import as_bias_vector, chi, density, sample_batch, sigma, sigma_vector
+from .measure import as_bias_vector, block_rows, chi, density, sample_batch, sigma, sigma_vector
 from .russo import (
     RootPoint,
     RootSet,

@@ -5,6 +5,16 @@ coordinate mean r_i, i.e. P(x_i = +1) = (1 + r_i) / 2.  The standardized
 characters chi_S(x, r) = prod_{i in S} (x_i - r_i) / sigma_i form an
 orthonormal family under it, with sigma_i = sqrt(1 - r_i^2).  The sampler
 serves the learning model's case, one bias r shared by every coordinate.
+
+The sampler is exact and reads the generator's raw bits.  With
+p = (1 + r) / 2 and a = floor(256 p), each coordinate takes one raw byte b:
+b < a gives +1 and b > a gives -1.  Only a tie (b == a, one byte in 256)
+takes a uniform u, and gives +1 iff u < 256 p - a, a difference float64
+holds exactly.  The outcome is therefore exactly (b + u) / 256 < p, with no
+rounding of the bias.  Rows come in fixed blocks of block_rows(n) rows: the
+generator gives each block's bytes, then one uniform per tie in row-major
+order, so a stream cut at block boundaries reads the same however the cuts
+fall.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from .errors import DomainError, LengthMismatchError
 
 __all__ = [
     "as_bias_vector",
+    "block_rows",
     "chi",
     "density",
     "sample_batch",
@@ -64,30 +75,57 @@ def density(rv, x: Sequence[int]) -> float:
     return float(np.prod((1.0 + rv * x) / 2.0))
 
 
-# Each working block holds at most this many float64 entries, so neither the
-# sampler's uniforms nor the moment engine's products grow with the sample size.
+# Each working block holds at most this many entries, so neither the
+# sampler's bytes (a quarter of it) nor the moment engine's float64 products
+# grow with the sample size.
 _CHUNK_ELEMS = 1 << 18
 
 
-def sample_batch(r: float, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """(m, n) assignments from the measure with every coordinate of bias r.
+def block_rows(n: int) -> int:
+    """Rows in one sampler block at width n.
 
-    Consumes exactly one uniform stream draw per entry, row by row and in
-    index order within a row, so a fixed generator state yields the same
-    block however it is split into calls.  The uniforms are drawn in blocks
-    of at most _CHUNK_ELEMS entries, written into the int8 output in place.
+    A multiple of 8, so the block's n * rows bytes fill whole 8-byte raw
+    words, and about _CHUNK_ELEMS // 4 bytes, or 8 rows once n > 2^13.
+    """
+    return 8 * max(1, _CHUNK_ELEMS // (32 * max(1, n)))
+
+
+def sample_batch(
+    r: float, rng: np.random.Generator, m: int, n: int, head: np.ndarray | None = None
+) -> np.ndarray:
+    """(m, n) int8 assignments from the measure with every coordinate of bias r.
+
+    The first len(head) rows are copied from ``head`` (at most m rows of n
+    signs), and the rest are drawn in whole blocks of block_rows(n) rows.
+    Per block the generator gives n * block_rows(n) raw bytes, one per entry
+    in row-major order, then one uniform per tie in the same order; an entry
+    is +1 when its byte b is below a = floor(256 p), -1 when above, and on a
+    tie +1 iff its uniform is below 256 p - a, with p = (1 + r) / 2.  The
+    rows of the last block past m are drawn and dropped, so consecutive calls
+    read one stream only while each call but the last draws whole blocks;
+    ``Oracle`` does so and serves the dropped rows through ``head``.
     """
     r = float(r)
     if not -1.0 < r < 1.0:
         raise DomainError(f"bias must lie in (-1, 1), got {r}")
-    p = (1.0 + r) / 2.0
+    scaled = (1.0 + r) * 128.0  # 256 p, exact
+    a = int(scaled)
+    frac = scaled - a
     out = np.empty((m, n), dtype=np.int8)
-    chunk = max(1, _CHUNK_ELEMS // max(1, n))
-    u = np.empty((min(m, chunk), n))
-    for start in range(0, m, chunk):
-        block = out[start : start + chunk]
-        rng.random(out=u[: len(block)])
-        np.less(u[: len(block)], p, out=block.view(bool))
+    first = 0
+    if head is not None:
+        first = len(head)
+        out[:first] = head
+    rows = block_rows(n)
+    bits = rng.bit_generator
+    for start in range(first, m, rows):
+        b = bits.random_raw(rows * n // 8).astype("<u8", copy=False).view(np.uint8)
+        ties = np.flatnonzero(b == a)
+        won = rng.random(len(ties)) < frac
+        block = out[start : start + rows].reshape(-1)
+        np.less(b[: len(block)], a, out=block.view(bool))
+        kept = np.searchsorted(ties, len(block))
+        block[ties[:kept]] = won[:kept]
         block *= 2
         block -= 1
     return out

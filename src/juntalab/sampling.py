@@ -36,7 +36,7 @@ from .errors import (
     EmptySampleError,
     InvalidParamsError,
 )
-from .measure import _CHUNK_ELEMS, as_bias_vector, sample_batch, sigma, sigma_vector
+from .measure import _CHUNK_ELEMS, as_bias_vector, block_rows, sample_batch, sigma, sigma_vector
 
 __all__ = [
     "ExampleBatch",
@@ -83,7 +83,10 @@ class Oracle:
 
     The stream is derived from (master_seed, oracle_id), so distinct ids give
     independent streams and the same pair replays the same sequence.  Every
-    served example is counted in ``draws``.
+    served example is counted in ``draws``.  The sampler draws whole blocks;
+    the oracle keeps the unserved rows of its last block (at most one block)
+    and serves them first on the next call, so the rows do not depend on how
+    the draws are split into calls.
     """
 
     def __init__(self, f: Junta, r: float, master_seed, oracle_id: int = 0):
@@ -97,6 +100,7 @@ class Oracle:
             np.random.SeedSequence(master_seed, spawn_key=(self.oracle_id,))
         )
         self.draws = 0
+        self._tail = np.empty((0, f.n), dtype=np.int8)
 
     @property
     def n(self) -> int:
@@ -105,7 +109,10 @@ class Oracle:
     def draw_batch(self, m: int) -> ExampleBatch:
         if m < 0:
             raise InvalidParamsError(f"batch size must be nonnegative, got {m}")
-        xs = sample_batch(self.bias, self._rng, m, self.n)
+        rows = block_rows(self.n)
+        fresh = -(-max(0, m - len(self._tail)) // rows) * rows
+        drawn = sample_batch(self.bias, self._rng, len(self._tail) + fresh, self.n, head=self._tail)
+        xs, self._tail = drawn[:m], drawn[m:].copy()
         labels = self.f.eval_batch(xs)
         self.draws += m
         return ExampleBatch(xs, labels)

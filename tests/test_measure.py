@@ -1,16 +1,17 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from juntalab import measure
 from juntalab import (
     DomainError,
     LengthMismatchError,
     as_bias_vector,
     assignments,
+    block_rows,
     chi,
     density,
     sample_batch,
@@ -102,19 +103,27 @@ class TestSampling:
             with pytest.raises(DomainError):
                 sample_batch(r, np.random.default_rng(0), 10, 3)
 
-    def test_stream_pinned_across_chunks(self):
-        # the seeded streams that record, replay and the release gate rely on:
-        # one uniform per coordinate in row order, +1 exactly when u < (1 + r) / 2
-        m = 2 * (measure._CHUNK_ELEMS // 5) + 17
-        for r in (0.6, -0.4, 0.0, 0.25, -0.9):
-            got = sample_batch(r, np.random.default_rng(21), m, 5)
-            u = np.random.default_rng(21).random((m, 5))
-            want = np.where(u < (1.0 + r) / 2.0, 1, -1).astype(np.int8)
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 100])
+    def test_stream_matches_per_entry_reference(self, n):
+        # the seeded streams that record, replay and the release gate rely on,
+        # read entry by entry: block by block, one raw byte per entry, then one
+        # uniform per tie, with every comparison made in exact rationals.  At
+        # r = 0 and 0.5, 256 p is an integer and every tie gives -1; at
+        # r = -0.999 every +1 comes from a tie.
+        rows = block_rows(n)
+        m = 2 * rows + rows // 3 + 1
+        for r in (0.0, 0.5, 0.25, -0.4, -0.9, 0.999, -0.999):
+            rng = np.random.default_rng(21)
+            got = sample_batch(r, rng, m, n)
+            want, state = _reference_stream(r, 21, m, n)
             assert got.dtype == np.int8
             assert np.array_equal(got, want)
+            # the ragged last block is drawn whole, its dropped ties included
+            assert rng.bit_generator.state == state
 
     def test_working_memory(self):
-        # beyond its int8 output the sampler holds one block of uniforms
+        # beyond its int8 output the sampler holds one block of bytes and
+        # the masks it compares them into
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
@@ -122,7 +131,25 @@ class TestSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - xs.nbytes <= 4 * 2**20
+        assert peak - xs.nbytes <= 1 * 2**20
+
+
+def _reference_stream(r, seed, m, n):
+    """Signs the sampler's contract gives, one Python comparison per entry,
+    and the generator state after the last block."""
+    rng = np.random.default_rng(seed)
+    target = 256 * (Fraction(1.0 + r) / 2)
+    tie = math.floor(target)
+    signs = []
+    while len(signs) < m * n:
+        words = rng.bit_generator.random_raw(block_rows(n) * n // 8)
+        block = b"".join(int(w).to_bytes(8, "little") for w in words)
+        signs_block = [1 if byte < target else -1 for byte in block]
+        for i, byte in enumerate(block):
+            if byte == tie:
+                signs_block[i] = 1 if byte + Fraction(rng.random()) < target else -1
+        signs.extend(signs_block)
+    return np.array(signs[: m * n], dtype=np.int8).reshape(m, n), rng.bit_generator.state
 
 
 class TestChi:

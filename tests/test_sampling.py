@@ -23,6 +23,7 @@ from juntalab import (
     SizeLimitError,
     assignments,
     bias_sample_size,
+    block_rows,
     biased_coefficient,
     chi,
     chi_cross_coefficient,
@@ -126,11 +127,19 @@ class TestOracle:
 
     def test_split_draws_equal_one_draw(self, and2):
         # --dump re-draws each oracle's stream in one call, so the rows must
-        # not depend on how the run split them; on 5 columns the sizes cross
-        # the sampler's block of _CHUNK_ELEMS // 5 = 52 428 rows
-        sizes = [0, 3, 65_534, 0, 7, 65_540, 1]
+        # not depend on how the run split them.  On 5 columns the sampler's
+        # block is block_rows(5) = 13 104 rows; the sizes hit it exactly and
+        # by one off, end inside a block and go on from its carried tail, and
+        # cross several blocks at once
+        rows = block_rows(5)
+        sizes = [0, 3, 65_534, 0, 7, 65_540, 1, rows, rows - 1, 2, rows + 1, 5, rows - 7, 0]
         oracle = Oracle(and2, 0.35, master_seed=21, oracle_id=2)
-        parts = [oracle.draw_batch(m) for m in sizes]
+        parts = []
+        for m in sizes:
+            state = oracle._rng.bit_generator.state
+            parts.append(oracle.draw_batch(m))
+            if m == 0:
+                assert oracle._rng.bit_generator.state == state
         whole = Oracle(and2, 0.35, master_seed=21, oracle_id=2).draw_batch(oracle.draws)
         assert oracle.draws == sum(sizes)
         assert np.array_equal(np.concatenate([b.xs for b in parts]), whole.xs)
@@ -336,9 +345,13 @@ class TestMomentEngine:
 
     def test_golden_bits(self):
         # values recorded from the colex-layout engine; 5000 rows at n = 12
-        # span several row blocks at s = 3
+        # span several row blocks at s = 3.  The rows are drawn here, from a
+        # fixed uniform stream, so the test pins the estimator whatever the
+        # sampler's stream
         f = Junta(12, (1, 4, 9), parity_core(3))
-        batch = Oracle(f, -0.35, master_seed=21).draw_batch(5000)
+        u = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0,))).random((5000, 12))
+        xs = np.where(u < (1 - 0.35) / 2, 1, -1).astype(np.int8)
+        batch = ExampleBatch(xs, f.eval_batch(xs))
         table = estimate_level_batch(batch, 3, -0.35)
         assert len(table) == 298
         digest = hashlib.sha256(",".join(v.hex() for v in table.values()).encode())
