@@ -45,7 +45,7 @@ def _as_sign(value, what: str) -> int:
     raise InvalidParamsError(f"{what} must be -1 or +1, got {value!r}")
 
 
-def _is_json_int(value) -> bool:
+def _is_strict_int(value) -> bool:
     # JSON true/false load as bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -159,9 +159,9 @@ class Junta:
             core_str = data["core"]
         except (KeyError, TypeError) as exc:
             raise InvalidParamsError(f"junta JSON missing field: {exc}") from exc
-        if not _is_json_int(n):
+        if not _is_strict_int(n):
             raise InvalidParamsError(f"n must be a JSON integer, got {n!r}")
-        if not isinstance(relevant, list) or not all(_is_json_int(i) for i in relevant):
+        if not isinstance(relevant, list) or not all(_is_strict_int(i) for i in relevant):
             raise InvalidParamsError(f"relevant must be a list of JSON integers, got {relevant!r}")
         if not isinstance(core_str, str) or any(c not in "01" for c in core_str):
             raise InvalidParamsError("core must be a string over '0'/'1'")

@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import numpy as np
 
-from .boolfn import MAX_AMBIENT_VARS, Junta, _is_json_int, random_junta
+from .boolfn import MAX_AMBIENT_VARS, Junta, _is_strict_int, random_junta
 from .errors import JuntaLabError
 from .fourier import _level_weight, biased_spectrum, expectation_polynomial
 from .learner import LearnerParams, LearnReport, LearnStatus, learn_junta
@@ -201,159 +202,142 @@ def _report_payload(report: LearnReport) -> dict:
     }
 
 
+def _learner_params(values, **grid) -> LearnerParams:
+    """LearnerParams from the entries of values, and of grid over them, named
+    after its fields; the learn flags and the bench keys use those names."""
+    values = {**values, **grid}
+    return LearnerParams(**{field.name: values[field.name] for field in fields(LearnerParams)})
+
+
+def _oracles(f: Junta, biases: list[float], seed: int) -> list[Oracle]:
+    """One oracle per bias; oracle j serves the seeded stream (seed, j)."""
+    return [Oracle(f, b, master_seed=seed, oracle_id=j) for j, b in enumerate(biases)]
+
+
 def _cmd_learn(args) -> int:
     _check_seed(args.seed, "--seed")
     biases = _parse_biases(args.biases)
-    params = LearnerParams(
-        k=args.k,
-        s=args.s,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        delta=args.delta,
-        threshold=args.threshold,
-        samples_per_coeff=args.samples_per_coeff,
-        unknown_biases=args.unknown_biases,
-    )
+    params = _learner_params(vars(args))
     if args.replay is not None:
         oracles = _replay_oracles(args.replay, biases)
     else:
         if args.fn is None:
             raise JuntaLabError("--fn is required unless --replay is given")
         f = _load_junta(args.fn)
-        oracles = [
-            Oracle(f, b, master_seed=args.seed, oracle_id=j) for j, b in enumerate(biases)
-        ]
+        oracles = _oracles(f, biases, args.seed)
     report = learn_junta(oracles, params)
     if args.dump is not None:
         # each oracle served one seeded stream, the same however the calls
         # split it, so a fresh oracle re-draws exactly the rows the run saw
-        for j, o in enumerate(oracles):
-            stream = Oracle(f, o.bias, master_seed=args.seed, oracle_id=j).draw_batch(o.draws)
-            dump_examples_csv(stream, _stream_path(args.dump, j))
+        for j, (o, fresh) in enumerate(zip(oracles, _oracles(f, biases, args.seed))):
+            dump_examples_csv(fresh.draw_batch(o.draws), _stream_path(args.dump, j))
     _emit(_json_text(_report_payload(report)), args.report)
     ok = report.status in (LearnStatus.EXACT_SUCCESS, LearnStatus.CONSTANT_FUNCTION)
     return 0 if ok else 1
 
 
-# every key a bench config may hold; any other is an error, so that a
-# misspelled optional key cannot silently fall back to its default
-_BENCH_KEYS = frozenset(
-    "n k s biases trials master_seed alpha gamma delta "
-    "samples_per_coeff threshold unknown_biases".split()
-)
+# every key a bench config may hold, with its JSON kind and, for an optional
+# key, the default that an absent key or a null stands for (... marks a
+# required key).  Any other key is an error, so that a misspelled optional key
+# cannot silently run at its default.  A "list" is a JSON list of the kind; a
+# "grid" is one value or a list, and the grid keys' cells run in product order.
+_BENCH_KEYS = {
+    "n": ("integer grid", ...),
+    "k": ("integer grid", ...),
+    "s": ("integer grid", ...),
+    "biases": ("number list", ...),
+    "trials": ("integer", ...),
+    "master_seed": ("integer", ...),
+    "alpha": ("number", ...),
+    "gamma": ("number", ...),
+    "delta": ("number", ...),
+    "samples_per_coeff": ("integer", None),
+    "threshold": ("number", None),
+    "unknown_biases": ("boolean", False),
+}
+
+_JSON_KINDS = {
+    "integer": _is_strict_int,
+    "number": lambda v: _is_strict_int(v) or isinstance(v, float),
+    "boolean": lambda v: isinstance(v, bool),
+}
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+def _bench_value(key: str, value, kind: str):
+    item, _, shape = kind.partition(" ")
+    items = value if shape == "list" or (shape == "grid" and isinstance(value, list)) else [value]
+    if not isinstance(items, list) or not all(_JSON_KINDS[item](v) for v in items):
+        raise JuntaLabError(f"bench {key} must be a JSON {kind}, got {value!r}")
+    if item == "number":
+        try:
+            items = [float(v) for v in items]
+        except OverflowError:
+            raise JuntaLabError(f"bench {key} is out of float range: {value!r}") from None
+    return items if shape else items[0]
 
 
-def _json_int(value, key: str) -> int:
-    if not _is_json_int(value):
-        raise JuntaLabError(f"bench {key} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_number(value, key: str) -> float:
-    if not (_is_json_int(value) or isinstance(value, float)):
-        raise JuntaLabError(f"bench {key} must be a JSON number, got {value!r}")
-    return float(value)
+def _bench_config(path) -> dict:
+    cfg = json.loads(_read_text(path))
+    if not isinstance(cfg, dict):
+        raise JuntaLabError("bench config must be a JSON object")
+    unknown_keys = sorted(set(cfg) - set(_BENCH_KEYS))
+    if unknown_keys:
+        raise JuntaLabError(f"bench config has unknown keys: {', '.join(map(repr, unknown_keys))}")
+    out = {}
+    for key, (kind, default) in _BENCH_KEYS.items():
+        if cfg.get(key) is not None:
+            out[key] = _bench_value(key, cfg[key], kind)
+        elif default is ...:
+            raise JuntaLabError(f"bench config is missing key {key!r}")
+        else:
+            out[key] = default
+    _check_biases(out["biases"])
+    _check_seed(out["master_seed"], "bench master_seed")
+    if out["trials"] < 0:
+        raise JuntaLabError(f"bench trials must be non-negative, got {out['trials']}")
+    return out
 
 
 def _cmd_bench(args) -> int:
-    cfg = json.loads(_read_text(args.config))
-    if not isinstance(cfg, dict):
-        raise JuntaLabError("bench config must be a JSON object")
-    unknown_keys = sorted(set(cfg) - _BENCH_KEYS)
-    if unknown_keys:
-        raise JuntaLabError(f"bench config has unknown keys: {', '.join(map(repr, unknown_keys))}")
-    try:
-        ns = [_json_int(v, "n") for v in _as_list(cfg["n"])]
-        ks = [_json_int(v, "k") for v in _as_list(cfg["k"])]
-        ss = [_json_int(v, "s") for v in _as_list(cfg["s"])]
-        if not isinstance(cfg["biases"], list):
-            raise JuntaLabError(f"bench biases must be a JSON list, got {cfg['biases']!r}")
-        biases = [_json_number(b, "biases") for b in cfg["biases"]]
-        trials = _json_int(cfg["trials"], "trials")
-        master = _json_int(cfg["master_seed"], "master_seed")
-        alpha = _json_number(cfg["alpha"], "alpha")
-        gamma = _json_number(cfg["gamma"], "gamma")
-        delta = _json_number(cfg["delta"], "delta")
-        spc = cfg.get("samples_per_coeff")
-        spc = None if spc is None else _json_int(spc, "samples_per_coeff")
-        thr = cfg.get("threshold")
-        thr = None if thr is None else _json_number(thr, "threshold")
-    except KeyError as exc:
-        raise JuntaLabError(f"bench config is missing key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:
-        raise JuntaLabError(f"malformed bench config: {exc}") from None
-    unknown = cfg.get("unknown_biases", False)
-    if not isinstance(unknown, bool):
-        raise JuntaLabError(f"bench unknown_biases must be true or false, got {unknown!r}")
-    _check_biases(biases)
-    _check_seed(master, "bench master_seed")
-    if trials < 0:
-        raise JuntaLabError(f"bench trials must be non-negative, got {trials}")
+    cfg = _bench_config(args.config)
     cells = []
-    for n, k, s in product(ns, ks, ss):
-        params = LearnerParams(
-            k=k,
-            s=s,
-            alpha=alpha,
-            gamma=gamma,
-            delta=delta,
-            threshold=thr,
-            samples_per_coeff=spc,
-            unknown_biases=unknown,
-        )
+    for n, k, s in product(cfg["n"], cfg["k"], cfg["s"]):
+        params = _learner_params(cfg, k=k, s=s)
         # fail before touching the output file
-        params.validate(len(biases), require_coverage=True)
+        params.validate(len(cfg["biases"]), require_coverage=True)
         if not k <= n <= MAX_AMBIENT_VARS:
             raise JuntaLabError(f"bench cell needs k <= n <= {MAX_AMBIENT_VARS}, got k={k}, n={n}")
-        cells.append((n, k, s, params))
+        cells.append((n, params))
 
     out = Path(args.out)
     header = "n,k,s,trial,status,relevant,samples,wall_ms\n"
-    done = 0
-    if out.exists() and out.stat().st_size > 0:
-        text = _read_text(out)
-        existing = text.splitlines()
-        if existing and existing[0] != header.strip():
-            raise JuntaLabError(f"{out} exists but is not a bench output file")
-        if not text.endswith("\n"):
-            # the last row was cut short by an interrupted run: rerun it
-            existing.pop()
-            out.write_text(text[: text.rfind("\n") + 1])
-        done = max(len(existing) - 1, 0)
+    text = _read_text(out) if out.exists() else ""
+    if text and text.splitlines()[0] != header.strip():
+        raise JuntaLabError(f"{out} exists but is not a bench output file")
+    # drop a last row cut short by an interrupted run; each whole row skips a run
+    kept = text[: text.rfind("\n") + 1]
+    if kept != text:
+        out.write_text(kept)
+    runs = product(enumerate(cells), range(cfg["trials"]))
     with out.open("a") as fh:
-        if done == 0 and fh.tell() == 0:
+        if not kept:
             fh.write(header)
             fh.flush()
-        row_idx = 0
-        for ci, (n, k, s, params) in enumerate(cells):
-            for trial in range(trials):
-                if row_idx < done:
-                    row_idx += 1
-                    continue
-                row_idx += 1
-                target_seed = int(
-                    np.random.SeedSequence(master, spawn_key=(ci, trial, 0)).generate_state(1)[0]
-                )
-                oracle_seed = int(
-                    np.random.SeedSequence(master, spawn_key=(ci, trial, 1)).generate_state(1)[0]
-                )
-                f = random_junta(n, k, target_seed, require_nonconstant=True)
-                oracles = [
-                    Oracle(f, b, master_seed=oracle_seed, oracle_id=j)
-                    for j, b in enumerate(biases)
-                ]
-                report = learn_junta(oracles, params)
-                rel = "|".join(str(i) for i in report.relevant)
-                total = sum(report.total_samples().values())
-                fh.write(
-                    f"{n},{k},{s},{trial},{report.status.value},{rel},"
-                    f"{total},{report.wall_ms:.3f}\n"
-                )
-                fh.flush()
+        for (ci, (n, params)), trial in islice(runs, max(kept.count("\n") - 1, 0), None):
+            target_seed, oracle_seed = (
+                int(np.random.SeedSequence(cfg["master_seed"], spawn_key=(ci, trial, j))
+                    .generate_state(1)[0])
+                for j in (0, 1)
+            )
+            f = random_junta(n, params.k, target_seed, require_nonconstant=True)
+            report = learn_junta(_oracles(f, cfg["biases"], oracle_seed), params)
+            rel = "|".join(str(i) for i in report.relevant)
+            total = sum(report.total_samples().values())
+            fh.write(
+                f"{n},{params.k},{params.s},{trial},{report.status.value},{rel},"
+                f"{total},{report.wall_ms:.3f}\n"
+            )
+            fh.flush()
     return 0
 
 

@@ -32,14 +32,14 @@ from .errors import (
     NoCoefficientFoundError,
 )
 from .measure import sigma
-from .sampling import (  # noqa: F401  estimate_coefficient: perfbench/tracing.py wraps it here
+# perfbench/tracing.py wraps estimate_bias and estimate_coefficient here
+from .sampling import (  # noqa: F401
     ExampleBatch,
-    bias_sample_size,
+    _clamped_bias_estimate,
     estimate_bias,
     estimate_coefficient,
     estimate_level_batch,
     hoeffding_sample_size,
-    unknown_bias_accuracy,
 )
 
 __all__ = [
@@ -259,13 +259,7 @@ def _working_biases(oracles: Sequence, params: LearnerParams, delta_bias: float)
     otherwise."""
     if not params.unknown_biases:
         return [float(o.bias) for o in oracles]
-    gamma = unknown_bias_accuracy(params.alpha, params.s)
-    m1 = bias_sample_size(gamma, delta_bias)
-    out = []
-    for oracle in oracles:
-        est = estimate_bias(oracle.draw_batch(m1))
-        out.append(min(max(est, -(1.0 - params.alpha)), 1.0 - params.alpha))
-    return out
+    return [_clamped_bias_estimate(o, params.alpha, params.s, delta_bias) for o in oracles]
 
 
 def find_one_relevant(

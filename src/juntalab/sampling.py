@@ -356,6 +356,14 @@ def unknown_bias_accuracy(alpha: float, card_s: int) -> float:
     return alpha ** ((card_s + 1) / 2.0) / (2.0 * (card_s + 1))
 
 
+def _clamped_bias_estimate(oracle, alpha: float, card_s: int, delta: float) -> float:
+    """The oracle's bias, estimated from bias_sample_size(unknown_bias_accuracy(
+    alpha, card_s), delta) unlabeled draws and clamped into [-(1-alpha), 1-alpha]."""
+    m = bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
+    est = estimate_bias(oracle.draw_batch(m))
+    return min(max(est, -(1.0 - alpha)), 1.0 - alpha)
+
+
 def estimate_coefficient_unknown_bias(
     oracle, S: Iterable[int], alpha: float, epsilon: float, delta: float
 ) -> float:
@@ -375,10 +383,7 @@ def estimate_coefficient_unknown_bias(
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    gamma = unknown_bias_accuracy(alpha, len(S))
-    m1 = bias_sample_size(gamma, delta)
-    r_est = estimate_bias(oracle.draw_batch(m1))
-    r_est = min(max(r_est, -(1.0 - alpha)), 1.0 - alpha)
+    r_est = _clamped_bias_estimate(oracle, alpha, len(S), delta)
     m2 = hoeffding_sample_size(len(S), sigma(r_est), epsilon / 2.0, delta / 2.0)
     return estimate_coefficient(oracle.draw_batch(m2), S, r_est)
 

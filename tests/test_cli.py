@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import parity_core
 from juntalab import (
+    MAX_AMBIENT_VARS,
     Junta,
     JuntaLabError,
     Oracle,
@@ -442,6 +445,27 @@ class TestBench:
             assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, over",
+        # a null samples_per_coeff calibrates the scan, which a high threshold keeps small
+        [("samples_per_coeff", {"threshold": 0.5}), ("threshold", {}), ("unknown_biases", {})],
+    )
+    def test_null_optional_key_means_default(self, tmp_path, key, over):
+        rows = []
+        for null in (True, False):
+            path = Path(self.config(tmp_path, **over))
+            cfg = json.loads(path.read_text())
+            if null:
+                cfg[key] = None
+            else:
+                cfg.pop(key, None)
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"null_{null}.csv"
+            assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+            rows.append([row.rsplit(",", 1)[0] for row in out.read_text().splitlines()])
+        assert len(rows[0]) == 1 + 2
+        assert rows[0] == rows[1]
+
     def test_missing_config(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["bench", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 3
@@ -476,6 +500,19 @@ def test_negative_seed_exits_2(and2_12_path, tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "russo-check"])
+def test_unparsable_bias_list_exits_2(and2_12_path, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "learn": ["learn", "--fn", and2_12_path, "--biases=0.3,abc", *LEARN_ARGS[1:],
+                  "--report", str(out)],
+        "russo-check": ["russo-check", "--fn", and2_12_path, "--bias", "x", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: could not parse bias list")
     assert not out.exists()
 
 
@@ -561,3 +598,143 @@ def test_replay_of_any_stream_exits_cleanly(data):
     assert code in (0, 1, 2)
     if rejected:
         assert code == 2
+
+
+# JSON values that no integer, number or boolean field accepts, and the wrong
+# kinds for integer and number fields
+NEVER_VALID = st.one_of(
+    st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.text(max_size=2), min_size=1, max_size=2),
+)
+NON_INT = st.one_of(NEVER_VALID, st.booleans(), st.floats())
+NON_NUMBER = st.one_of(NEVER_VALID, st.booleans())
+NOT_AN_OBJECT = st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text(), st.none())
+NOT_IN_UNIT = st.one_of(  # outside (0, 1]
+    st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+    st.just(float("nan")), st.integers(max_value=0), st.integers(min_value=2),
+)
+
+
+def _cut_or_dump(draw, data, how):
+    text = json.dumps(data)
+    return text[: draw(st.integers(0, len(text) - 1))] if how == "cut" else text
+
+
+@st.composite
+def _malformed_juntas(draw, how):
+    """Junta JSON with k <= 4, broken one way: how drops a key, cuts the text
+    short, puts no object at the top, or breaks one field."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers({"entry": 1, "range": 1, "order": 2}.get(how, 0), min(4, n)))
+    rel = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    data = {"n": n, "relevant": rel, "core": draw(st.text("01", min_size=1 << k, max_size=1 << k))}
+    if how == "drop":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif how == "n":
+        data["n"] = draw(st.one_of(
+            NON_INT, st.none(), st.integers(-1, max(rel, default=-1)),
+            st.integers(min_value=MAX_AMBIENT_VARS + 1),
+        ))
+    elif how == "relevant":
+        data["relevant"] = draw(st.one_of(st.integers(), st.text(max_size=3), st.none()))
+    elif how == "extra":  # one entry more than the core covers
+        rel.insert(draw(st.integers(0, k)), draw(st.one_of(st.integers(), NON_INT, st.none())))
+    elif how == "entry":
+        rel[draw(st.integers(0, k - 1))] = draw(st.one_of(NON_INT, st.none()))
+    elif how == "range":  # still increasing, but not all below n
+        if draw(st.booleans()):
+            rel[-1] = draw(st.integers(min_value=n))
+        else:
+            rel[0] = draw(st.integers(max_value=-1))
+    elif how == "order":
+        rel.reverse()
+    elif how == "core":
+        data["core"] = draw(st.one_of(
+            st.text("01", max_size=20).filter(lambda c: len(c) != 1 << k),
+            st.text(min_size=1, max_size=20).filter(lambda c: set(c) - set("01")),
+            st.integers(), st.none(), st.lists(st.text("01", max_size=2), max_size=2),
+        ))
+    elif how == "top":
+        data = draw(NOT_AN_OBJECT)
+    return _cut_or_dump(draw, data, how)
+
+
+# runs no learn; each grid key may also hide a bad value in a list
+BENCH_VALID = {
+    "n": [8, 10], "k": 2, "s": 1, "biases": [-0.3, 0.3], "trials": 0, "master_seed": 5,
+    "alpha": 0.6, "gamma": 0.2, "delta": 0.1, "samples_per_coeff": 4000, "threshold": 0.08,
+}
+GRID_CELL = {"n": 10, "k": 2, "s": 1}
+# per key, values that break a config that is otherwise BENCH_VALID
+BENCH_BREAKERS = {
+    "n": st.one_of(NON_INT, st.none(), st.integers(max_value=1),
+                   st.integers(min_value=MAX_AMBIENT_VARS + 1)),
+    "k": st.one_of(NON_INT, st.none(), st.integers(max_value=-1), st.integers(min_value=3)),
+    "s": st.one_of(NON_INT, st.none(), st.integers(max_value=0)),
+    "biases": st.one_of(
+        NON_NUMBER, st.none(), st.floats(), st.just([]),
+        st.floats(-0.99, 0.99).map(lambda b: [b, b]),
+        st.one_of(NON_NUMBER, st.none(), st.floats(min_value=1.0), st.floats(max_value=-1.0),
+                  st.just(float("nan"))).map(lambda b: [0.3, b]),
+    ),
+    "trials": st.one_of(NON_INT, st.none(), st.integers(max_value=-1)),
+    "master_seed": st.one_of(NON_INT, st.none(), st.integers(max_value=-1)),
+    "alpha": st.one_of(NON_NUMBER, st.none(), NOT_IN_UNIT),
+    "gamma": st.one_of(NON_NUMBER, st.none(), NOT_IN_UNIT),
+    "delta": st.one_of(NON_NUMBER, st.none(), NOT_IN_UNIT, st.just(1), st.just(1.0)),
+    "samples_per_coeff": st.one_of(NON_INT, st.integers(max_value=0)),
+    "threshold": st.one_of(NON_NUMBER, st.floats(max_value=0.0), st.just(float("nan"))),
+    "unknown_biases": st.one_of(st.integers(), st.floats(), st.text(max_size=4)),
+}
+
+
+@st.composite
+def _malformed_bench_configs(draw, how):
+    """BENCH_VALID broken one way: how drops or adds a key, cuts the text
+    short, puts no object at the top, or names the key to set to a value
+    from BENCH_BREAKERS."""
+    data = dict(BENCH_VALID)
+    if how == "top":
+        data = draw(NOT_AN_OBJECT)
+    elif how == "drop":
+        del data[draw(st.sampled_from(sorted(set(data) - {"samples_per_coeff", "threshold"})))]
+    elif how == "add":
+        data[draw(st.text(max_size=6).filter(lambda key: key not in BENCH_BREAKERS))] = 1
+    elif how in BENCH_BREAKERS:
+        bad = draw(BENCH_BREAKERS[how])
+        data[how] = [GRID_CELL[how], bad] if how in GRID_CELL and draw(st.booleans()) else bad
+    return _cut_or_dump(draw, data, how)
+
+
+def _assert_rejected(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.json", Path(tmp) / "out"
+        path.write_text(text)
+        argv = {
+            "spectrum": ["spectrum", "--fn", str(path), "--bias", "0.2", "--out", str(out)],
+            "bench": ["bench", "--config", str(path), "--out", str(out)],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, text
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "how", ["drop", "n", "relevant", "extra", "entry", "range", "order", "core", "cut", "top"]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malformed_junta_json_exits_2(how, data):
+    _assert_rejected("spectrum", data.draw(_malformed_juntas(how)))
+
+
+@pytest.mark.parametrize("how", ["drop", "add", "cut", "top", *sorted(BENCH_BREAKERS)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malformed_bench_json_exits_2(how, data):
+    _assert_rejected("bench", data.draw(_malformed_bench_configs(how)))

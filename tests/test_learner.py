@@ -22,8 +22,10 @@ from juntalab import (
     default_attempt_budget,
     default_threshold,
     find_one_relevant,
+    hoeffding_sample_size,
     learn_junta,
     random_junta,
+    sigma,
 )
 
 
@@ -324,6 +326,16 @@ class TestFindOneRelevant:
                         hits.append(S)
         assert len(hits) >= 3
         assert got == next(S for S in hits if exclude.isdisjoint(S))[0]
+
+    def test_calibrated_scan_size(self):
+        # without samples_per_coeff an oracle serves the Hoeffding size that
+        # holds each coefficient up to level s at confidence delta / (t n^s)
+        oracle = Oracle(Junta(5, (2,), (-1, 1)), 0.0, master_seed=4)
+        p = params_for(1, 1, 0.5, threshold=0.5)
+        assert find_one_relevant([oracle], p) == 2
+        m = hoeffding_sample_size(1, sigma(0.0), 0.5, 0.1 / (1 * 5**1))
+        assert m == 148
+        assert oracle.draws == m
 
     def test_no_coverage_requirement(self, par3):
         # a single oracle may be scanned even when s * t < k
