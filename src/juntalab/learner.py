@@ -29,6 +29,7 @@ from .errors import (
     BudgetExhaustedError,
     InvalidIndexError,
     InvalidParamsError,
+    LengthMismatchError,
     NoCoefficientFoundError,
 )
 from .measure import sigma
@@ -36,9 +37,9 @@ from .measure import sigma
 from .sampling import (  # noqa: F401
     ExampleBatch,
     _clamped_bias_estimate,
+    _level_estimates,
     estimate_bias,
     estimate_coefficient,
-    estimate_level_batch,
     hoeffding_sample_size,
 )
 
@@ -272,14 +273,22 @@ def find_one_relevant(
     the smallest index inside the first subset that clears it.
 
     Order is deterministic: oracle index, then level 1..s, then subsets in
-    lexicographic order; candidate subsets avoid ``exclude``.  Per-coefficient
-    confidence is delta / (t * n^s) so a union bound covers the whole scan.
+    lexicographic order; candidate subsets avoid ``exclude``, whose indices
+    must lie in [0, n).  known_biases, when given, holds one bias per
+    oracle.  Per-coefficient confidence is delta / (t * n^s) so a union bound
+    covers the whole scan.
     """
     t = len(oracles)
     params.validate(t, require_coverage=False)
     n = oracles[0].n
-    if exclude.issuperset(range(n)):
+    if not all(0 <= i < n for i in exclude):
+        raise InvalidIndexError(f"excluded indices {sorted(exclude)} must lie in [0, {n})")
+    blocked = np.zeros(n, dtype=bool)
+    blocked[list(exclude)] = True
+    if blocked.all():
         raise InvalidParamsError("no candidate variables remain outside the exclusion set")
+    if known_biases is not None and len(known_biases) != t:
+        raise LengthMismatchError(f"{len(known_biases)} known biases for {t} oracles")
     threshold = (
         params.threshold if params.threshold is not None else default_threshold(params)
     )
@@ -293,10 +302,10 @@ def find_one_relevant(
         if m is None:
             # each level multiplies the bound by 4 / sigma^2 >= 4, so size s needs most
             m = hoeffding_sample_size(params.s, sigma(r), threshold, delta_coeff)
-        batch = oracle.draw_batch(m)
-        for S, value in estimate_level_batch(batch, params.s, r).items():
-            if abs(value) > threshold and exclude.isdisjoint(S):
-                return S[0]
+        for S, values in _level_estimates(oracle.draw_batch(m), params.s, r):
+            hits = np.flatnonzero((np.abs(values) > threshold) & ~blocked[S].any(axis=1))
+            if hits.size:
+                return int(S[hits[0], 0])
     raise NoCoefficientFoundError(
         f"no coefficient above {threshold} across {t} oracles up to level {params.s}"
     )

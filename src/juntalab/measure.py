@@ -75,9 +75,9 @@ def density(rv, x: Sequence[int]) -> float:
     return float(np.prod((1.0 + rv * x) / 2.0))
 
 
-# Each working block holds at most this many entries, so neither the
-# sampler's bytes (a quarter of it) nor the moment engine's float64 products
-# grow with the sample size.
+# Working blocks are sized from this many entries, so neither the sampler's
+# bytes (a quarter of it) nor the moment engine's sign flags and packed
+# vectors (about this many bytes) grow with the sample size.
 _CHUNK_ELEMS = 1 << 18
 
 

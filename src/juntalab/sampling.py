@@ -11,21 +11,22 @@ Every coefficient estimate comes from one moment engine.  For +/-1 data,
         = sum_{T subset S} (-r)^{|S \\ T|} * M_T,
     M_T = sum_t y_t prod_{i in T} x_{t,i},
 
-and each M_T is an integer.  The engine computes the moments of every subset
-up to the needed size by float64 matrix products over fixed blocks of rows.
-All entries are +/-1, so every partial sum is an integer of magnitude at most
-m < 2^53 and the products are exact in any summation order.  One combine step
-then turns exact moments into an estimate with a fixed arithmetic order, so a
-batch scan and a per-subset call produce bit-identical values and a replayed
-example stream reproduces a run decision for decision.
+and each M_T is an integer.  The engine packs each block of rows one bit per
+row and column and counts M_T = m - 2 * popcount(y XOR x_T) in int64 for
+every subset up to the needed size, one array per level in lexicographic
+order.  Counts are exact whatever the block split.  One array combine then
+turns the exact moments of a level into its estimates with a fixed order of
+elementwise float64 operations, so a batch scan and a per-subset call
+produce bit-identical values and a replayed example stream reproduces a run
+decision for decision.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -234,68 +235,170 @@ def bias_sample_size(gamma: float, delta: float) -> int:
 # estimators
 
 
-def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> dict:
-    """Exact moments M_T of every column subset T with |T| <= s, keyed by T
-    as an increasing tuple of column indices.
+def _binomials(c: int, s: int) -> np.ndarray:
+    """The (c + 1, s + 1) table of C(a, b), column b the running sums of column
+    b - 1: C(a, b) = sum_{a' < a} C(a', b - 1)."""
+    table = np.zeros((c + 1, s + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for b in range(1, s + 1):
+        np.cumsum(table[:-1, b - 1], out=table[1:, b])
+    return table
 
-    Level j keeps one product row y * prod_{i in P} x_i per j-subset P of
-    the c columns, in lexicographic order.  The j-subsets whose least
-    element is f are f joined to the (j-1)-subsets of {f+1, ..., c-1}, which
-    are the last C(c-f-1, j-1) rows of level j-1.  A matrix product of level
-    j-1's rows with the columns gives M_{P + {i}} for every (j-1)-subset P
-    and column i; the entries with i > max(P), in row order, are the
-    j-subsets in lexicographic order.  Each example needs c + w products,
-    with w = sum_{j<s} C(c, j).  Every block adds the whole C(c, s-1) * c
-    top table, so a block takes enough rows to build at least that many
-    products, and otherwise as many as fit in _CHUNK_ELEMS.  A block thus
-    holds at most max(_CHUNK_ELEMS, C(c, s-1) * c + c + w) products, and
-    working memory is O(_CHUNK_ELEMS + c * w) whatever the number of rows.
+
+def _lex_rank(T: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row of T, an increasing k-subset of
+    range(c), among all k-subsets, with binom = _binomials(c, s), s >= k:
+
+        C(c, k) - 1 - sum_i C(c - 1 - T[:, i], k - i),
+
+    the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3) applied to the
+    complements c - 1 - T[:, i], whose colexicographic order reverses the
+    lexicographic one.
+    """
+    c, k = len(binom) - 1, T.shape[1]
+    rank = np.full(len(T), binom[c, k] - 1)
+    for i in range(k):
+        rank -= binom[c - 1 - T[:, i], k - i]
+    return rank
+
+
+def _subsets(c: int, s: int) -> list[np.ndarray]:
+    """The j-subsets of range(c) for j = 0..s, one (C(c, j), j) array per
+    level in lexicographic order.
+
+    The j-subsets with least element f are f joined to the (j-1)-subsets of
+    {f+1, ..., c-1}, which are the last C(c-f-1, j-1) rows of level j-1.
+    """
+    binom = _binomials(c, s)
+    levels = [np.zeros((1, 0), dtype=np.intp)]
+    for j in range(1, s + 1):
+        runs = binom[c - 1 :: -1, j - 1]  # C(c-f-1, j-1) for f = 0..c-1
+        lead = np.repeat(np.arange(c), runs)
+        first = np.cumsum(runs) - runs  # the run of f starts at first[f]
+        tail = np.arange(len(lead)) + np.repeat(len(levels[-1]) - runs - first, runs)
+        levels.append(np.column_stack([lead, levels[-1][tail]]))
+    return levels
+
+
+def _packed(signs: np.ndarray, words: int) -> np.ndarray:
+    """A (rows, c) block of signs, rows <= 64 * words, as a (words, c) array
+    of 64-bit words: each row is one bit of each column's words, set when
+    the sign is -1, and bits for rows past the block are 0.
+
+    Each entry's 0/1 flag is one byte.  Part k of the rows (rows 8 * words *
+    k to 8 * words * (k + 1), k < 8) is shifted to bit k and or-ed into the
+    others, as 64-bit words over whole contiguous parts; a byte transpose
+    then gathers each column's 8 bytes of a word.  Every call maps rows to
+    bits the same way, so columns and labels packed apart line up.
+    """
+    rows, c = signs.shape
+    flags = np.zeros((64 * words, c), dtype=np.uint8)
+    np.less(signs, 0, out=flags[:rows].view(bool))
+    parts = flags.reshape(8, -1).view(np.uint64)
+    packed = parts[0].copy()
+    for k in range(1, 8):
+        packed |= parts[k] << np.uint64(k)
+    groups = packed.view(np.uint8).reshape(words, 8, c).transpose(0, 2, 1)
+    return np.ascontiguousarray(groups).view(np.uint64)[..., 0]
+
+
+def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> tuple[list, list]:
+    """The subsets of the c columns of xs with |T| <= s, as _subsets(c, s)
+    gives them, and their exact moments M_T, one int64 array per level in
+    the same order.  Every entry of xs and labels must be -1 or 1.
+
+    Each block of rows packs its columns and labels one bit per row (bit set
+    for -1).  With v_T the XOR of the label bits and the bits of the columns
+    in T, M_T = rows - 2 * popcount(v_T): integer counts, exact in any
+    block split.  Level j's vectors are level j-1's vectors of T minus its
+    least element, gathered by lexicographic rank, XOR that element's
+    column.  A block is a multiple of 64 rows, sized so that the buffers
+    alive at once, its flags (a byte per entry) while packing and then two
+    consecutive levels' vectors, come to about _CHUNK_ELEMS bytes; one
+    block's buffers are alive at a time, so working memory does not grow
+    with the number of rows.
     """
     m, c = xs.shape
-    widths = [math.comb(c, j) for j in range(s)]
-    per_row = max(1, sum(widths) + c)
-    top = widths[-1] * c if widths else 0
-    rows = max(1, -(-top // per_row), _CHUNK_ELEMS // per_row)
-    products = [np.zeros((width, c)) for width in widths]
+    subsets, binom = _subsets(c, s), _binomials(c, s)
+    lead = [T[:, 0] for T in subsets[1:]]
+    tail = [_lex_rank(T[:, 1:], binom) for T in subsets[1:]]
+    counts = [np.zeros(len(T), dtype=np.int64) for T in subsets]
+    # bytes alive per 64 rows: a flag per entry while packing, then the
+    # packed columns with level j-1's vectors and level j's (a gather, the
+    # gathered lead columns and a popcount byte per subset)
+    sizes = [len(T) for T in subsets]
+    level = max((8 * a + 17 * b for a, b in zip(sizes, sizes[1:])), default=0)
+    rows = 64 * max(1, _CHUNK_ELEMS // max(64 * (c + 1), 8 * c + level))
     for start in range(0, m, rows):
-        # one row per column, so each product extension writes whole rows
-        xt = xs[start : start + rows].T.astype(np.float64, order="C")
-        w = labels[start : start + rows].astype(np.float64)[None, :]
-        for j in range(1, s + 1):
-            products[j - 1] += w @ xt.T
-            if j < s:
-                nxt, lo = np.empty((widths[j], len(w[0]))), 0
-                for f in range(c - j + 1):
-                    tail = w[len(w) - math.comb(c - f - 1, j - 1) :]
-                    np.multiply(tail, xt[f], out=nxt[lo : lo + len(tail)])
-                    lo += len(tail)
-                w = nxt
-    moments = {(): float(labels.sum(dtype=np.int64))}
-    for j, table in enumerate(products):
-        last = np.array([max(P, default=-1) for P in combinations(range(c), j)])
-        above = table[np.arange(c) > last[:, None]].tolist()
-        moments.update(zip(combinations(range(c), j + 1), above))
-    return moments
+        block = slice(start, start + rows)
+        words = -(-len(labels[block]) // 64)
+        x, v = _packed(xs[block], words), _packed(labels[block, None], words)
+        for j in range(s + 1):
+            if j:
+                v = np.take(v, tail[j - 1], axis=1)
+                v ^= np.take(x, lead[j - 1], axis=1)
+            # a block's count is at most 64 * words, well inside uint32
+            counts[j] += np.add.reduce(np.bitwise_count(v), axis=0, dtype=np.uint32)
+    return subsets, [m - 2 * count for count in counts]
 
 
-def _combine(moments: dict, S: Sequence[int], r: float, sig: float, m: int) -> float:
-    """The estimate (1/m) sum_t y_t chi_S(x_t, r) from exact moments, with
-    sig = sigma(r) and S increasing.
+def _estimates(S: np.ndarray, moments: list, c: int, r: float, m: int) -> np.ndarray:
+    """The estimates (1/m) sum_t y_t chi_S(x_t, r) for each row S of one
+    level, from the exact moments of the c columns.
 
-    Sums the expansion over T subset S in one fixed order, so every caller
-    gets the same bits for the same subset, bias and example block.
+    For each mask of S's positions, from 0 to 2^|S| - 1, the term is the
+    moment of the subset the mask selects, gathered by its lexicographic
+    rank and multiplied by -r once per missing position, in position order;
+    the terms are summed in mask order, divided by sigma^|S| (built by
+    repeated multiplication), then by m.  The moments are integers of
+    magnitude at most m < 2^53, exact in float64, so every subset gets the
+    same bits whichever level table or column selection it is read from.
     """
-    acc = 0.0
-    for mask in range(1 << len(S)):
-        term = moments[tuple([i for b, i in enumerate(S) if mask >> b & 1])]
-        for b in range(len(S)):
+    sig, j = sigma(r), S.shape[1]
+    binom = _binomials(c, j)
+    acc = np.zeros(len(S))
+    for mask in range(1 << j):
+        chosen = [b for b in range(j) if mask >> b & 1]
+        term = moments[len(chosen)][_lex_rank(S[:, chosen], binom)].astype(np.float64)
+        for b in range(j):
             if not mask >> b & 1:
                 term *= -r
         acc += term
     scale = 1.0
-    for _ in S:
+    for _ in range(j):
         scale *= sig
     return acc / scale / m
+
+
+def _level_estimates(batch: ExampleBatch, s_max: int, r: float) -> Iterator[tuple]:
+    """(subsets, estimates) for levels 1..min(s_max, n) in turn, the subsets
+    in lexicographic order; each level is combined only when it is reached."""
+    if batch.m == 0:
+        raise EmptySampleError("coefficient estimation needs at least one example")
+    if s_max < 1:
+        raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
+    r = float(r)
+    subsets, moments = _moment_tables(batch.xs, batch.labels, min(s_max, batch.n))
+    for S in subsets[1:]:
+        yield S, _estimates(S, moments, batch.n, r, batch.m)
+
+
+def _subset_indices(S: Iterable, n: int) -> list[int]:
+    """S as increasing column indices; each must be a distinct integer in
+    [0, n), not a bool."""
+    out = []
+    for i in S:
+        if isinstance(i, (bool, np.bool_)):
+            raise DomainError(f"subset index {i!r} is a bool, not a column index")
+        try:
+            out.append(operator.index(i))
+        except TypeError:
+            raise DomainError(f"subset index {i!r} is not an integer") from None
+        if not 0 <= out[-1] < n:
+            raise DomainError(f"subset index {i} outside [0, {n})")
+    if len(set(out)) < len(out):
+        raise DomainError(f"subset {tuple(out)} repeats an index")
+    return sorted(out)
 
 
 def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> float:
@@ -305,13 +408,9 @@ def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> flo
     """
     if batch.m == 0:
         raise EmptySampleError("coefficient estimation needs at least one example")
-    S = sorted(int(i) for i in S)
-    for i in S:
-        if not 0 <= i < batch.n:
-            raise DomainError(f"subset index {i} outside [0, {batch.n})")
-    r, sig = float(r), sigma(r)
-    moments = _moment_tables(batch.xs[:, S], batch.labels, len(S))
-    return _combine(moments, range(len(S)), r, sig, batch.m)
+    S = _subset_indices(S, batch.n)
+    subsets, moments = _moment_tables(batch.xs[:, S], batch.labels, len(S))
+    return float(_estimates(subsets[-1], moments, len(S), float(r), batch.m)[0])
 
 
 def estimate_level_batch(
@@ -320,18 +419,14 @@ def estimate_level_batch(
     """Estimates for every subset of size 1..s_max, reusing one example block.
 
     Keys run by size, then in lexicographic order.  The moments of all
-    subsets come from one pass of exact integer-valued products, and each
-    entry is combined by the same arithmetic as a per-subset
-    estimate_coefficient call, so the two paths agree bit for bit.
+    subsets come from one pass of exact popcounts, and each entry is
+    combined by the same arithmetic as a per-subset estimate_coefficient
+    call, so the two paths agree bit for bit.
     """
-    if batch.m == 0:
-        raise EmptySampleError("coefficient estimation needs at least one example")
-    if s_max < 1:
-        raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
-    r, sig = float(r), sigma(r)
-    top = min(s_max, batch.n)
-    moments = _moment_tables(batch.xs, batch.labels, top)
-    return {S: _combine(moments, S, r, sig, batch.m) for S in moments if S}
+    out = {}
+    for S, values in _level_estimates(batch, s_max, r):
+        out.update(zip(map(tuple, S.tolist()), values.tolist()))
+    return out
 
 
 def estimate_bias(batch: ExampleBatch) -> float:
@@ -376,7 +471,7 @@ def estimate_coefficient_unknown_bias(
     1-alpha], which never hurts when the promise |r| <= 1-alpha holds and
     keeps sigma away from zero.
     """
-    S = sorted(int(i) for i in S)
+    S = _subset_indices(S, oracle.n)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < epsilon < 1.0:

@@ -14,6 +14,7 @@ from juntalab import (
     LearnReport,
     LearnStatus,
     LearnerParams,
+    LengthMismatchError,
     NoCoefficientFoundError,
     Oracle,
     RestrictedOracle,
@@ -303,6 +304,21 @@ class TestFindOneRelevant:
                 [Oracle(par3, 0.5, master_seed=0)], p, exclude=frozenset({0, 1, 2})
             )
 
+    @pytest.mark.parametrize("bad", [-1, 5, 100])
+    def test_excluded_index_outside_range(self, par3, bad):
+        # -1 must not silently exclude column n - 1
+        p = params_for(3, 1, 0.5, samples_per_coeff=100, threshold=0.05)
+        with pytest.raises(InvalidIndexError):
+            find_one_relevant([Oracle(par3, 0.5, master_seed=0)], p, exclude=frozenset({0, bad}))
+
+    @pytest.mark.parametrize("known", [[0.3], [0.3, -0.3, 0.0], []])
+    def test_one_known_bias_per_oracle(self, par3, known):
+        p = params_for(3, 1, 0.5, samples_per_coeff=100, threshold=0.05)
+        oracles = [Oracle(par3, r, master_seed=0, oracle_id=j) for j, r in enumerate((0.3, -0.3))]
+        with pytest.raises(LengthMismatchError):
+            find_one_relevant(oracles, p, known_biases=known)
+        assert [o.draws for o in oracles] == [0, 0]
+
     @pytest.mark.parametrize("exclude", [frozenset(), frozenset({1}), frozenset({4, 7})])
     def test_first_hit_matches_brute_scan(self, exclude):
         # oracle 0 sees nothing below level 3; at bias 0.5 every level-2
@@ -461,6 +477,25 @@ class TestLearnJunta:
         total = report.total_samples()
         assert sum(total.values()) == sum(o.draws for o in oracles)
         assert report.relevant == tuple(sorted(report.relevant))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_oracles_learn_a_4_junta_at_level_2(self, seed):
+        # t = 2 oracles and s = 2 cover k = 4, the paper's t < k regime; the
+        # draw counts pin every scan decision of the first three seeds
+        f = random_junta(30, 4, seed, require_nonconstant=True)
+        p = LearnerParams(
+            k=4, s=2, alpha=0.5, gamma=0.5, delta=0.1, threshold=0.05, samples_per_coeff=50_000
+        )
+        oracles = [
+            Oracle(f, r, master_seed=seed, oracle_id=j) for j, r in enumerate((-0.4, 0.4))
+        ]
+        report = learn_junta(oracles, p)
+        assert report.status is LearnStatus.EXACT_SUCCESS
+        assert report.relevant == f.relevant
+        assert report.table == f.core
+        want = {0: {0: 626922}, 1: {0: 632793}, 2: {0: 812403}}
+        if seed in want:
+            assert report.total_samples() == want[seed]
 
     def test_unknown_biases(self, and2_50):
         p = params_for(

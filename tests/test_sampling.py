@@ -261,6 +261,18 @@ class TestEstimateCoefficient:
         with pytest.raises(DomainError):
             estimate_coefficient(batch, (5,), 0.0)
 
+    # a repeated index is not a character; 2.7 and True are not column indices
+    @pytest.mark.parametrize("S", [(1, 1), (0, 3, 0), (2.7,), (2.0,), (True,), (np.True_, 2)])
+    def test_indices_must_be_distinct_integers(self, and2, S):
+        batch = Oracle(and2, 0.0, master_seed=0).draw_batch(10)
+        with pytest.raises(DomainError):
+            estimate_coefficient(batch, S, 0.0)
+
+    def test_numpy_integer_indices(self, and2):
+        batch = Oracle(and2, 0.3, master_seed=0).draw_batch(200)
+        got = estimate_coefficient(batch, np.array([3, 1]), 0.3)
+        assert got == estimate_coefficient(batch, (1, 3), 0.3)
+
     def test_par3_band(self, par3_wide):
         hits = 0
         for seed in range(20):
@@ -336,7 +348,8 @@ class TestMomentEngine:
             assert val == estimate_coefficient(batch, T, r)
 
     def test_default_blocks_with_ragged_tail(self, and2):
-        # level 2 on 5 columns takes blocks of _CHUNK_ELEMS // (1 + 5 + 5) rows
+        # level 2 on 5 columns takes default blocks of 43 648 rows, so these
+        # 71 510 rows end in a short block whose last word is partly padding
         m = 3 * (sampling._CHUNK_ELEMS // 11) + 17
         batch = Oracle(and2, 0.3, master_seed=8).draw_batch(m)
         rv = np.full(5, 0.3)
@@ -399,17 +412,33 @@ class TestMomentEngine:
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
     def test_blocks_cover_the_top_table(self):
-        # at n = 40, s = 4 the element budget alone gives blocks of 24 rows,
-        # each adding the whole 9 880 x 40 top table; blocks now take 37 rows
+        # at n = 40, s = 4 the top level's 91 390 vectors exceed the block
+        # budget, so each block is one word of 64 rows and 100 rows take
+        # two, each adding to every level's array
         batch = Oracle(Junta(40, (1, 4, 9), parity_core(3)), 0.3, master_seed=6).draw_batch(100)
-        moments = sampling._moment_tables(batch.xs, batch.labels, 4)
-        assert len(moments) == sum(math.comb(40, j) for j in range(5))
-        keys = list(moments)
+        _, moments = sampling._moment_tables(batch.xs, batch.labels, 4)
+        assert [len(level) for level in moments] == [math.comb(40, j) for j in range(5)]
+        assert all(level.dtype == np.int64 for level in moments)
+        keys = [
+            (j, i, T)
+            for j in range(5)
+            for i, T in enumerate(itertools.combinations(range(40), j))
+        ]
         y = batch.labels.astype(np.int64)
-        for i in np.random.default_rng(0).choice(len(keys), 300, replace=False):
-            T = keys[i]
+        for pick in np.random.default_rng(0).choice(len(keys), 300, replace=False):
+            j, i, T = keys[pick]
             cols = np.prod(batch.xs[:, list(T)], axis=1, dtype=np.int64)
-            assert moments[T] == int((y * cols).sum()), T
+            assert moments[j][i] == int((y * cols).sum()), T
+
+    @pytest.mark.parametrize("c", range(13))
+    def test_lexicographic_ranks(self, c):
+        subsets = sampling._subsets(c, min(5, c))
+        for j in range(min(5, c) + 1):
+            combos = list(itertools.combinations(range(c), j))
+            want = np.array(combos, dtype=np.intp).reshape(len(combos), j)
+            assert np.array_equal(subsets[j], want)
+            rank = sampling._lex_rank(want, sampling._binomials(c, j))
+            assert np.array_equal(rank, np.arange(len(combos)))
 
     def test_wide_level1_blocks_stay_within_budget(self):
         # the level-1 top table is one row of c moments, so 4 000 columns
