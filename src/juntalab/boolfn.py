@@ -9,6 +9,7 @@ corresponds to ``relevant[b]``, and a set bit means that variable is +1.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -39,10 +40,40 @@ __all__ = [
 ]
 
 
-def _as_sign(value, what: str) -> int:
-    if value in (-1, 1) or value in (-1.0, 1.0):
-        return 1 if value > 0 else -1
-    raise InvalidParamsError(f"{what} must be -1 or +1, got {value!r}")
+def _check_signs(values, ndim: int, what: str) -> np.ndarray:
+    """values as an int8 array, if it has ndim axes and every entry equals -1
+    or 1; anything else, strings, None and nested sequences included, raises
+    InvalidParamsError.  An int8 array comes back as itself, not a copy."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "iu":
+            # reductions only: no temporary as large as a whole sample
+            ok = arr.min(initial=1) >= -1 and arr.max(initial=1) <= 1
+            ok = ok and np.count_nonzero(arr) == arr.size
+        else:
+            ok = np.all((arr == 1) | (arr == -1))
+        if ok and arr.ndim == ndim:
+            return arr.astype(np.int8, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParamsError(f"{what} must be -1 or +1")
+
+
+def _as_indices(values, n: int, what: str) -> list[int]:
+    """values as Python ints in [0, n); a bool, a non-integer or an index
+    out of range raises InvalidIndexError.  numpy integers pass."""
+    out = []
+    for i in values:
+        try:
+            if isinstance(i, bool):  # operator.index refuses only numpy bools
+                raise TypeError
+            j = operator.index(i)
+        except TypeError:
+            raise InvalidIndexError(f"{what} {i!r} is not an integer") from None
+        if not 0 <= j < n:
+            raise InvalidIndexError(f"{what} {i} outside [0, {n})")
+        out.append(j)
+    return out
 
 
 def _is_strict_int(value) -> bool:
@@ -76,17 +107,14 @@ class Junta:
             raise InvalidParamsError(
                 f"n must be an integer in [0, {MAX_AMBIENT_VARS}], got {self.n!r}"
             )
-        rel = tuple(int(i) for i in self.relevant)
+        rel = tuple(_as_indices(self.relevant, self.n, "relevant index"))
         if len(rel) > MAX_CORE_VARS:
             raise InvalidParamsError(
                 f"at most {MAX_CORE_VARS} relevant variables are supported, got {len(rel)}"
             )
-        for i in rel:
-            if not 0 <= i < self.n:
-                raise InvalidIndexError(f"relevant index {i} outside [0, {self.n})")
         if any(a >= b for a, b in zip(rel, rel[1:])):
             raise InvalidParamsError(f"relevant indices must be strictly increasing, got {rel}")
-        core = tuple(_as_sign(v, "core entry") for v in self.core)
+        core = tuple(_check_signs(tuple(self.core), 1, "core entries").tolist())
         if len(core) != 1 << len(rel):
             raise LengthMismatchError(
                 f"core must have 2**{len(rel)} = {1 << len(rel)} entries, got {len(core)}"
@@ -121,10 +149,8 @@ class Junta:
         """Evaluate at one assignment of all n variables."""
         if len(x) != self.n:
             raise LengthMismatchError(f"assignment has length {len(x)}, expected {self.n}")
-        for v in x:
-            if v != -1 and v != 1:
-                raise InvalidParamsError(f"assignment entries must be -1 or +1, got {v!r}")
-        return self.core[_sign_pattern(np.asarray(x)[None, :], self.relevant)[0]]
+        x = _check_signs(x, 1, "assignment entries")
+        return self.core[_sign_pattern(x[None, :], self.relevant)[0]]
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of an (m, n) array of sign rows.

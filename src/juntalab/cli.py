@@ -26,6 +26,7 @@ from .boolfn import MAX_AMBIENT_VARS, Junta, _is_strict_int, random_junta
 from .errors import JuntaLabError
 from .fourier import _level_weight, biased_spectrum, expectation_polynomial
 from .learner import LearnerParams, LearnReport, LearnStatus, learn_junta
+from .measure import _check_bias
 from .russo import _russo_rhs, poly_derivative, root_set
 from .sampling import (
     ExampleBatch,
@@ -79,8 +80,7 @@ def _check_biases(biases: list[float]) -> list[float]:
     if not biases:
         raise JuntaLabError("empty bias list")
     for b in biases:
-        if not -1.0 < b < 1.0:
-            raise JuntaLabError(f"bias {b} outside (-1, 1)")
+        _check_bias(b)
     if len(set(biases)) != len(biases):
         raise JuntaLabError(f"biases must be pairwise distinct, got {biases}")
     return biases

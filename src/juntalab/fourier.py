@@ -25,7 +25,7 @@ import numpy as np
 # perfbench/tracing.py wraps walsh_numerators in this module, so it stays imported
 from .boolfn import Junta, assignments, walsh_numerators  # noqa: F401
 from .errors import DomainError, InvalidParamsError
-from .measure import as_bias_vector, sigma, sigma_vector
+from .measure import _check_bias, as_bias_vector, sigma, sigma_vector
 
 __all__ = [
     "DyadicPolynomial",
@@ -129,7 +129,7 @@ def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Frac
     The sigma_S factor is irrational in general but strictly positive, so
     this rational part is zero exactly when the coefficient is.
     """
-    r = Fraction(r)
+    r = _check_bias(Fraction(r))
     mask = _subset_mask(f, S)
     if mask is None:
         return Fraction(0)

@@ -3,8 +3,9 @@
 The learner grows a set V of confirmed relevant variables.  Each round one
 pass over one raw stream, at the oracle whose bias is nearest 0, checks
 every sign pattern of V for constancy; a non-constant pattern goes to the
-threshold scan, which estimates all coefficients of size up to s at every
-oracle and returns a variable of the first estimate above the threshold.
+threshold scan, which scans the oracles in order, estimating coefficients
+of size up to s at each, and stops at the first estimate above the
+threshold, returning one of its variables.
 When every pattern is constant their labels are the truth table.
 
 Draws from a restricted target are simulated by rejection: raw examples are
@@ -24,10 +25,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import _sign_pattern
+from .boolfn import MAX_CORE_VARS, _as_indices, _check_signs, _sign_pattern
 from .errors import (
     BudgetExhaustedError,
-    InvalidIndexError,
     InvalidParamsError,
     LengthMismatchError,
     NoCoefficientFoundError,
@@ -38,6 +38,7 @@ from .sampling import (  # noqa: F401
     ExampleBatch,
     _clamped_bias_estimate,
     _level_estimates,
+    _sample_size,
     estimate_bias,
     estimate_coefficient,
     hoeffding_sample_size,
@@ -87,8 +88,11 @@ class LearnerParams:
     unknown_biases: bool = False
 
     def validate(self, t: int, require_coverage: bool) -> None:
-        if not isinstance(self.k, int) or self.k < 0:
-            raise InvalidParamsError(f"k must be a nonnegative integer, got {self.k!r}")
+        # a learned table has 2^k entries, so k has the junta core's cap
+        if not isinstance(self.k, int) or not 0 <= self.k <= MAX_CORE_VARS:
+            raise InvalidParamsError(
+                f"k must be an integer in [0, {MAX_CORE_VARS}], got {self.k!r}"
+            )
         if not isinstance(self.s, int) or self.s < 1:
             raise InvalidParamsError(f"s must be a positive integer, got {self.s!r}")
         if not 0.0 < self.alpha <= 1.0:
@@ -105,10 +109,15 @@ class LearnerParams:
             )
         if t < 1:
             raise InvalidParamsError("need at least one oracle")
-        if require_coverage and self.s * t < self.k:
-            raise InvalidParamsError(
-                f"need s * t >= k to cover the junta: s={self.s}, t={t}, k={self.k}"
-            )
+        if require_coverage:
+            if self.s * t < self.k:
+                raise InvalidParamsError(
+                    f"need s * t >= k to cover the junta: s={self.s}, t={t}, k={self.k}"
+                )
+            # a whole run's constancy pass and deepest raw cap must be countable
+            step = _step_params(self)
+            m = constancy_sample_size(step)
+            default_attempt_budget(self.alpha, self.k, m, self.k, step.delta)
 
 
 @dataclass
@@ -133,6 +142,13 @@ def default_threshold(params: LearnerParams) -> float:
     return params.alpha ** (params.s / 2.0) * (params.gamma / 4.0) ** params.k / 2.0
 
 
+def _step_params(params: LearnerParams) -> LearnerParams:
+    """params at the confidence each step of learn_junta runs at,
+    delta / (k * 2^k)."""
+    return replace(params, delta=params.delta / (max(params.k, 1) * (1 << params.k)))
+
+
+@_sample_size
 def constancy_sample_size(params: LearnerParams) -> int:
     """ceil((2/alpha)^k * ln(2/delta)) examples: enough that a non-constant
     at-most-k-junta shows both labels with probability 1 - delta."""
@@ -147,9 +163,7 @@ def check_constant(oracles: Sequence, params: LearnerParams, V: Sequence[int] = 
     pattern p (the lowest) shows both labels.  The raw cap is
     m * default_attempt_budget(alpha, |V|, m, k, delta)."""
     params.validate(len(oracles), require_coverage=False)
-    n = oracles[0].n
-    if not all(0 <= i < n for i in V):
-        raise InvalidIndexError(f"pattern indices {tuple(V)} must lie in [0, {n})")
+    V = _as_indices(V, oracles[0].n, "pattern index")
     if len(set(V)) < len(V):
         raise InvalidParamsError(f"pattern indices must be distinct, got {tuple(V)}")
     m = constancy_sample_size(params)
@@ -173,18 +187,7 @@ def check_constant(oracles: Sequence, params: LearnerParams, V: Sequence[int] = 
 # restricted draws
 
 
-def _check_rho(rho: Mapping[int, int], n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for var, val in rho.items():
-        var = int(var)
-        if not 0 <= var < n:
-            raise InvalidIndexError(f"restricted index {var} outside [0, {n})")
-        if val not in (-1, 1):
-            raise InvalidParamsError(f"restriction values must be -1 or +1, got {val!r}")
-        out[var] = int(val)
-    return out
-
-
+@_sample_size
 def default_attempt_budget(alpha: float, rho_size: int, m: int, k: int, delta: float) -> int:
     """Raw attempts allowed per needed restricted draw:
     ceil((2/alpha)^|rho| * ln(m * k * 2^k / delta)) * 4."""
@@ -213,7 +216,8 @@ class RestrictedOracle:
 
     def __init__(self, inner, rho: Mapping[int, int], params: LearnerParams):
         self.inner = inner
-        self.rho = _check_rho(rho, inner.n)
+        values = _check_signs(list(rho.values()), 1, "restriction values").tolist()
+        self.rho = dict(zip(_as_indices(rho, inner.n, "restricted index"), values))
         self._params = params
         idx = sorted(self.rho)
         self._idx = np.array(idx, dtype=np.int64)
@@ -281,10 +285,8 @@ def find_one_relevant(
     t = len(oracles)
     params.validate(t, require_coverage=False)
     n = oracles[0].n
-    if not all(0 <= i < n for i in exclude):
-        raise InvalidIndexError(f"excluded indices {sorted(exclude)} must lie in [0, {n})")
     blocked = np.zeros(n, dtype=bool)
-    blocked[list(exclude)] = True
+    blocked[_as_indices(exclude, n, "excluded index")] = True
     if blocked.all():
         raise InvalidParamsError("no candidate variables remain outside the exclusion set")
     if known_biases is not None and len(known_biases) != t:
@@ -292,7 +294,6 @@ def find_one_relevant(
     threshold = (
         params.threshold if params.threshold is not None else default_threshold(params)
     )
-    delta_coeff = params.delta / (t * n**params.s)
     if known_biases is not None:
         biases = [float(b) for b in known_biases]
     else:
@@ -301,6 +302,10 @@ def find_one_relevant(
         m = params.samples_per_coeff
         if m is None:
             # each level multiplies the bound by 4 / sigma^2 >= 4, so size s needs most
+            try:
+                delta_coeff = params.delta / (t * n**params.s)
+            except OverflowError:  # n^s past float range: no finite sample suffices
+                raise InvalidParamsError(f"n^s = {n}^{params.s} is past float range") from None
             m = hoeffding_sample_size(params.s, sigma(r), threshold, delta_coeff)
         for S, values in _level_estimates(oracle.draw_batch(m), params.s, r):
             hits = np.flatnonzero((np.abs(values) > threshold) & ~blocked[S].any(axis=1))
@@ -342,8 +347,7 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
     t = len(oracles)
     params.validate(t, require_coverage=True)
     phases: dict[str, dict[int, int]] = {}
-    sub_delta = params.delta / (max(params.k, 1) * (1 << params.k))
-    sub_params = replace(params, delta=sub_delta)
+    sub_params = _step_params(params)
 
     def report(status: LearnStatus, V: list[int], table) -> LearnReport:
         return LearnReport(
@@ -355,7 +359,7 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
         )
 
     with _count_draws(phases, oracles, "bias_estimation"):
-        biases = _working_biases(oracles, sub_params, sub_delta)
+        biases = _working_biases(oracles, sub_params, sub_params.delta)
     # the constancy bound holds at any promised bias; nearest 0 evens the patterns
     probe = [oracles[min(range(t), key=lambda j: abs(biases[j]))]]
 

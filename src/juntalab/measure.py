@@ -43,10 +43,26 @@ def sigma(r: float) -> float:
     Computed as sqrt((1 - r)(1 + r)) so precision near |r| = 1 degrades
     gracefully.
     """
-    r = float(r)
-    if not -1.0 < r < 1.0:
-        raise DomainError(f"bias must lie in (-1, 1), got {r}")
+    r = _check_bias(float(r))
     return math.sqrt((1.0 - r) * (1.0 + r))
+
+
+def _check_bias(r):
+    """r itself if it lies in (-1, 1), else DomainError (NaN included).
+
+    The comparison runs in r's own type, so a Fraction just below 1 is not
+    rounded to 1.0 first.  _check_bias_vector is the same rule for arrays.
+    """
+    if not -1 < r < 1:
+        raise DomainError(f"bias must lie in (-1, 1), got {r}")
+    return r
+
+
+def _check_bias_vector(rv: np.ndarray) -> np.ndarray:
+    """rv itself if every entry lies in (-1, 1), else DomainError."""
+    if not np.all((rv > -1.0) & (rv < 1.0)):
+        raise DomainError("all biases must lie in (-1, 1)")
+    return rv
 
 
 def as_bias_vector(r, n: int) -> np.ndarray:
@@ -56,15 +72,11 @@ def as_bias_vector(r, n: int) -> np.ndarray:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):
         raise LengthMismatchError(f"bias vector has shape {arr.shape}, expected ({n},)")
-    if not np.all((arr > -1.0) & (arr < 1.0)):
-        raise DomainError("all biases must lie in (-1, 1)")
-    return arr
+    return _check_bias_vector(arr)
 
 
 def sigma_vector(rv: np.ndarray) -> np.ndarray:
-    rv = np.asarray(rv, dtype=np.float64)
-    if not np.all((rv > -1.0) & (rv < 1.0)):
-        raise DomainError("all biases must lie in (-1, 1)")
+    rv = _check_bias_vector(np.asarray(rv, dtype=np.float64))
     return np.sqrt((1.0 - rv) * (1.0 + rv))
 
 
@@ -105,9 +117,7 @@ def sample_batch(
     read one stream only while each call but the last draws whole blocks;
     ``Oracle`` does so and serves the dropped rows through ``head``.
     """
-    r = float(r)
-    if not -1.0 < r < 1.0:
-        raise DomainError(f"bias must lie in (-1, 1), got {r}")
+    r = _check_bias(float(r))
     scaled = (1.0 + r) * 128.0  # 256 p, exact
     a = int(scaled)
     frac = scaled - a

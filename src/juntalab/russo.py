@@ -23,7 +23,6 @@ import numpy as np
 from .boolfn import Junta, degree
 from .errors import (
     ConstantFunctionError,
-    DomainError,
     InvalidParamsError,
     NoWitnessError,
 )
@@ -33,14 +32,13 @@ from .fourier import (
     biased_coefficient_rational,
     expectation_polynomial,
 )
-from .measure import sigma
+from .measure import _check_bias, sigma
 
 __all__ = [
     "RootPoint",
     "RootSet",
     "Witness",
     "poly_derivative",
-    "poly_gcd",
     "root_set",
     "russo_rhs",
     "squarefree_decomposition",
@@ -230,10 +228,7 @@ def theorem1_witness(f: Junta, s: int, biases: Sequence[float]) -> Witness:
         raise InvalidParamsError(
             f"need s * t >= degree(f): s={s}, t={len(biases)}, degree={d}"
         )
-    vals = [float(r) for r in biases]
-    for r in vals:
-        if not -1.0 < r < 1.0:
-            raise DomainError(f"bias must lie in (-1, 1), got {r}")
+    vals = [_check_bias(float(r)) for r in biases]
     if len(set(vals)) != len(vals):
         raise InvalidParamsError("biases must be pairwise distinct")
     for j, r in enumerate(vals):

@@ -23,21 +23,30 @@ decision for decision.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boolfn import Junta, assignments
+from .boolfn import Junta, _as_indices, _check_signs, assignments
 from .errors import (
     BudgetExhaustedError,
     DomainError,
     EmptySampleError,
+    InvalidIndexError,
     InvalidParamsError,
 )
-from .measure import _CHUNK_ELEMS, as_bias_vector, block_rows, sample_batch, sigma, sigma_vector
+from .measure import (
+    _CHUNK_ELEMS,
+    _check_bias,
+    as_bias_vector,
+    block_rows,
+    sample_batch,
+    sigma,
+    sigma_vector,
+)
 
 __all__ = [
     "ExampleBatch",
@@ -59,7 +68,11 @@ __all__ = [
 
 @dataclass
 class ExampleBatch:
-    """A block of labeled assignments stored as sign arrays."""
+    """A block of labeled assignments stored as sign arrays.
+
+    Only the shapes are checked when a batch is built, not that the entries
+    are -1 or 1: the public estimators check the entries they read.
+    """
 
     xs: np.ndarray
     labels: np.ndarray
@@ -91,11 +104,8 @@ class Oracle:
     """
 
     def __init__(self, f: Junta, r: float, master_seed, oracle_id: int = 0):
-        r = float(r)
-        if not -1.0 < r < 1.0:
-            raise DomainError(f"oracle bias must lie in (-1, 1), got {r}")
         self.f = f
-        self.bias = r
+        self.bias = _check_bias(float(r))
         self.oracle_id = int(oracle_id)
         self._rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=(self.oracle_id,))
@@ -165,9 +175,8 @@ def dump_examples_csv(batch: ExampleBatch, path) -> None:
     keep = np.ones(template.shape, dtype=bool)
     with open(path, "wb") as fh:
         for start in range(0, m, rows):
-            xs, labels = batch.xs[start : start + rows], batch.labels[start : start + rows]
-            if not (np.all(np.abs(xs) == 1) and np.all(np.abs(labels) == 1)):
-                raise InvalidParamsError("example streams hold only -1 and 1 entries")
+            xs = _check_signs(batch.xs[start : start + rows], 2, "example stream entries")
+            labels = _check_signs(batch.labels[start : start + rows], 1, "example stream entries")
             block = keep[: len(xs)]
             np.less(xs, 0, out=block[:, :-1, 0])
             np.less(labels, 0, out=block[:, -1, 0])
@@ -193,8 +202,7 @@ def load_examples_csv(path) -> ExampleBatch:
             raise InvalidParamsError(f"{path} is not a table of -1/1 entries: {exc}") from None
     if data.shape[1] < 2:
         raise InvalidParamsError(f"{path} needs at least one sign column plus a label")
-    if not np.all((data == 1) | (data == -1)):
-        raise InvalidParamsError(f"{path} has entries other than -1 and 1")
+    _check_signs(data, 2, f"entries of {path}")
     return ExampleBatch(data[:, :-1], data[:, -1])
 
 
@@ -202,6 +210,22 @@ def load_examples_csv(path) -> ExampleBatch:
 # sample-size calibration
 
 
+def _sample_size(formula):
+    """Wrap a sample-size formula so that a count past float range (a power
+    that overflows, or a divisor that underflows to 0) raises
+    InvalidParamsError."""
+
+    @functools.wraps(formula)
+    def sized(*args, **kwargs) -> int:
+        try:
+            return formula(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidParamsError(f"{formula.__name__}: sample size too large") from None
+
+    return sized
+
+
+@_sample_size
 def hoeffding_sample_size(card_s: int, sigma_val: float, epsilon: float, delta: float) -> int:
     """Examples needed so one coefficient estimate of a size-card_s subset is
     within epsilon with confidence 1 - delta:
@@ -220,6 +244,7 @@ def hoeffding_sample_size(card_s: int, sigma_val: float, epsilon: float, delta: 
     return math.ceil(m)
 
 
+@_sample_size
 def bias_sample_size(gamma: float, delta: float) -> int:
     """Unlabeled examples needed to estimate a coordinate bias to accuracy
     gamma: m = ceil(8 * ln(4/delta) / gamma^2).  The constant already budgets
@@ -386,16 +411,10 @@ def _level_estimates(batch: ExampleBatch, s_max: int, r: float) -> Iterator[tupl
 def _subset_indices(S: Iterable, n: int) -> list[int]:
     """S as increasing column indices; each must be a distinct integer in
     [0, n), not a bool."""
-    out = []
-    for i in S:
-        if isinstance(i, (bool, np.bool_)):
-            raise DomainError(f"subset index {i!r} is a bool, not a column index")
-        try:
-            out.append(operator.index(i))
-        except TypeError:
-            raise DomainError(f"subset index {i!r} is not an integer") from None
-        if not 0 <= out[-1] < n:
-            raise DomainError(f"subset index {i} outside [0, {n})")
+    try:
+        out = _as_indices(S, n, "subset index")
+    except InvalidIndexError as exc:
+        raise DomainError(str(exc)) from None
     if len(set(out)) < len(out):
         raise DomainError(f"subset {tuple(out)} repeats an index")
     return sorted(out)
@@ -409,7 +428,9 @@ def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> flo
     if batch.m == 0:
         raise EmptySampleError("coefficient estimation needs at least one example")
     S = _subset_indices(S, batch.n)
-    subsets, moments = _moment_tables(batch.xs[:, S], batch.labels, len(S))
+    xs = _check_signs(batch.xs[:, S], 2, "example entries")
+    labels = _check_signs(batch.labels, 1, "labels")
+    subsets, moments = _moment_tables(xs, labels, len(S))
     return float(_estimates(subsets[-1], moments, len(S), float(r), batch.m)[0])
 
 
@@ -423,6 +444,8 @@ def estimate_level_batch(
     combined by the same arithmetic as a per-subset estimate_coefficient
     call, so the two paths agree bit for bit.
     """
+    _check_signs(batch.xs, 2, "example entries")
+    _check_signs(batch.labels, 1, "labels")
     out = {}
     for S, values in _level_estimates(batch, s_max, r):
         out.update(zip(map(tuple, S.tolist()), values.tolist()))
@@ -438,7 +461,8 @@ def estimate_bias(batch: ExampleBatch) -> float:
     """
     if batch.m == 0 or batch.n == 0:
         raise EmptySampleError("bias estimation needs at least one example coordinate")
-    return int(batch.xs.sum(dtype=np.int64)) / (batch.m * batch.n)
+    xs = _check_signs(batch.xs, 2, "example entries")
+    return int(xs.sum(dtype=np.int64)) / (batch.m * batch.n)
 
 
 def unknown_bias_accuracy(alpha: float, card_s: int) -> float:
@@ -489,10 +513,7 @@ def estimate_coefficient_unknown_bias(
 
 def _bias_at(r, i: int) -> float:
     arr = np.asarray(r, dtype=np.float64)
-    v = float(arr) if arr.ndim == 0 else float(arr[i])
-    if not -1.0 < v < 1.0:
-        raise DomainError(f"bias must lie in (-1, 1), got {v}")
-    return v
+    return _check_bias(float(arr) if arr.ndim == 0 else float(arr[i]))
 
 
 def chi_cross_coefficient(S: Iterable[int], T: Iterable[int], r, r_prime) -> float:

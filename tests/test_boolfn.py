@@ -1,6 +1,8 @@
 import copy
 import json
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +36,13 @@ class TestConstruction:
     def test_relevant_out_of_range(self):
         with pytest.raises(InvalidIndexError):
             Junta(2, (0, 3), (1, 1, 1, 1))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, np.float64(1.0), "1"])
+    def test_relevant_indices_must_be_integers(self, bad):
+        f = Junta(5, (np.int64(1), np.uint8(3)), (-1, 1, 1, 1))
+        assert f.relevant == (1, 3) and all(type(i) is int for i in f.relevant)
+        with pytest.raises(InvalidIndexError):
+            Junta(5, (bad,), (-1, 1))
 
     def test_relevant_must_increase(self):
         with pytest.raises(InvalidParamsError):
@@ -72,6 +81,33 @@ class TestConstruction:
         f = Junta(1, (0,), (-1.0, 1.0))
         assert f.core == (-1, 1)
         assert all(isinstance(v, int) for v in f.core)
+
+
+# entries equal to -1 or 1, whatever their type, and entries that are not
+SIGNS = [1, -1, 1.0, -1.0, True, np.int8(-1), np.float64(1.0), Fraction(-1), Decimal(1)]
+NOT_SIGNS = [0, 2, -0.5, float("nan"), False, "1", b"1", None, (1,), [-1], {1: 1}]
+SIGN_TABLE = [(v, True) for v in SIGNS] + [(v, False) for v in NOT_SIGNS]
+
+
+@pytest.mark.parametrize("value, ok", SIGN_TABLE, ids=repr)
+def test_core_entries(value, ok):
+    if not ok:
+        with pytest.raises(InvalidParamsError):
+            Junta(1, (0,), (value, -1))
+        return
+    f = Junta(1, (0,), (value, -1))
+    assert f.core == (1 if value == 1 else -1, -1)
+    assert all(type(v) is int for v in f.core)
+
+
+@pytest.mark.parametrize("value, ok", SIGN_TABLE, ids=repr)
+def test_eval_entries(value, ok):
+    f = Junta(2, (0,), (-1, 1))
+    if not ok:
+        with pytest.raises(InvalidParamsError):
+            f.eval((value, -1))
+        return
+    assert f.eval((value, -1)) == (1 if value == 1 else -1)
 
 
 class TestEval:

@@ -503,6 +503,53 @@ def test_negative_seed_exits_2(and2_12_path, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1.0", "1.0", "1.5"])
+@pytest.mark.parametrize("command", ["learn", "bench", "russo-check", "spectrum"])
+def test_bias_outside_the_domain_exits_2(and2_12_path, tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    argv = {
+        "learn": ["learn", "--fn", and2_12_path, f"--biases=0.3,{value}", *LEARN_ARGS[1:],
+                  "--report", str(out)],
+        "bench": ["bench", "--config", TestBench.config(tmp_path, biases=[0.3, float(value)]),
+                  "--out", str(out)],
+        "russo-check": ["russo-check", "--fn", and2_12_path, f"--bias=0.3,{value}",
+                        "--out", str(out)],
+        "spectrum": ["spectrum", "--fn", and2_12_path, f"--bias={value}", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# sample sizes past float range, and a k whose table cannot be held
+OVERFLOW_LEARN_ARGS = {
+    "constancy": ["--k", "2", "--s", "1", "--alpha", "1e-300", "--gamma", "0.5",
+                  "--samples-per-coeff", "100", "--threshold", "0.1"],
+    "hoeffding": ["--k", "2", "--s", "1", "--alpha", "0.7", "--gamma", "0.5",
+                  "--threshold", "1e-300"],
+    "huge_k": ["--k", "2000", "--s", "1000", "--alpha", "0.6", "--gamma", "0.2",
+               "--samples-per-coeff", "100", "--threshold", "0.08"],
+    "huge_n_to_the_s": ["--k", "2", "--s", "300", "--alpha", "0.6", "--gamma", "0.2",
+                        "--threshold", "0.08"],
+}
+
+
+@pytest.mark.parametrize("case", [*OVERFLOW_LEARN_ARGS, "bench"])
+def test_sample_size_overflow_exits_2(tmp_path, capsys, case):
+    fn = tmp_path / "f.json"
+    assert main(["gen", "--n", "12", "--k", "2", "--seed", "5", "--out", str(fn)]) == 0
+    out = tmp_path / "out"
+    if case == "bench":
+        argv = ["bench", "--config", TestBench.config(tmp_path, alpha=1e-300), "--out", str(out)]
+    else:
+        argv = ["learn", "--fn", str(fn), "--biases=-0.3,0.3", "--delta", "0.1",
+                *OVERFLOW_LEARN_ARGS[case], "--report", str(out)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["learn", "russo-check"])
 def test_unparsable_bias_list_exits_2(and2_12_path, tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ from juntalab import (
     InvalidIndexError,
     InvalidParamsError,
     Junta,
+    MAX_CORE_VARS,
     LearnReport,
     LearnStatus,
     LearnerParams,
@@ -51,6 +52,7 @@ class TestParams:
     def test_field_ranges(self):
         bad = [
             params_for(-1, 1, 0.5),
+            params_for(MAX_CORE_VARS + 1, 1, 0.5),
             params_for(2, 0, 0.5),
             params_for(2, 1, 0.0),
             params_for(2, 1, 1.5),
@@ -75,6 +77,13 @@ class TestParams:
 
     def test_alpha_one_allowed(self):
         params_for(2, 1, 1.0, gamma=1.0).validate(2, require_coverage=True)
+
+    def test_whole_run_sizes_must_be_countable(self):
+        # (2 / alpha)^k overflows a float; only a whole run computes it up front
+        p = params_for(2, 1, 1e-300)
+        p.validate(2, require_coverage=False)
+        with pytest.raises(InvalidParamsError):
+            p.validate(2, require_coverage=True)
 
 
 class TestDefaultThreshold:
@@ -134,6 +143,17 @@ class TestCheckConstant:
     def test_sample_size(self):
         assert constancy_sample_size(params_for(2, 1, 0.5, delta=0.05)) == 60
         assert constancy_sample_size(params_for(0, 1, 1.0, delta=0.5)) == 2
+        with pytest.raises(InvalidParamsError):
+            constancy_sample_size(params_for(2, 1, 1e-300))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, True, np.True_, "1"])
+    def test_pattern_indices_must_be_integers(self, and2, bad):
+        p = params_for(2, 1, 0.5)
+        assert check_constant([Oracle(and2, 0.0, master_seed=0)], p, (np.int64(0),)) == (None, 1)
+        oracle = Oracle(and2, 0.0, master_seed=0)
+        with pytest.raises(InvalidIndexError):
+            check_constant([oracle], p, (bad,))
+        assert oracle.draws == 0
 
 
 class TestConstancyPass:
@@ -192,6 +212,12 @@ class TestRestrictedDraw:
         for alpha, size, m, k, delta in [(0.5, 2, 100, 3, 0.1), (1.0, 0, 1, 0, 0.5)]:
             want = math.ceil((2.0 / alpha) ** size * math.log(m * max(k, 1) * 2**k / delta)) * 4
             assert default_attempt_budget(alpha, size, m, k, delta) == want
+
+    def test_budget_past_float_range(self):
+        with pytest.raises(InvalidParamsError):
+            default_attempt_budget(1e-300, 2, 100, 2, 0.1)
+        with pytest.raises(InvalidParamsError):
+            default_attempt_budget(0.5, 1, 10**400, 2, 0.1)
 
 
 class TestRestrictedOracle:
@@ -258,6 +284,15 @@ class TestRestrictedOracle:
         with pytest.raises(InvalidParamsError):
             RestrictedOracle(oracle, {0: 2}, p)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.True_, "1"])
+    def test_rho_indices_must_be_integers(self, and2, bad):
+        p = params_for(2, 1, 0.5)
+        oracle = Oracle(and2, 0.0, master_seed=0)
+        rho = RestrictedOracle(oracle, {np.int64(1): 1.0}, p).rho
+        assert rho == {1: 1} and all(type(v) is int for v in [*rho, *rho.values()])
+        with pytest.raises(InvalidIndexError):
+            RestrictedOracle(oracle, {bad: 1}, p)
+
 
 class TestFindOneRelevant:
     def test_par3_three_oracles(self, par3_30):
@@ -310,6 +345,14 @@ class TestFindOneRelevant:
         p = params_for(3, 1, 0.5, samples_per_coeff=100, threshold=0.05)
         with pytest.raises(InvalidIndexError):
             find_one_relevant([Oracle(par3, 0.5, master_seed=0)], p, exclude=frozenset({0, bad}))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.True_, "1"])
+    def test_excluded_indices_must_be_integers(self, par3, bad):
+        p = params_for(3, 1, 0.5, samples_per_coeff=2000, threshold=0.05)
+        oracle = Oracle(par3, 0.5, master_seed=0)
+        assert find_one_relevant([oracle], p, exclude=frozenset({np.int64(0)})) in (1, 2)
+        with pytest.raises(InvalidIndexError):
+            find_one_relevant([oracle], p, exclude=frozenset({bad}))
 
     @pytest.mark.parametrize("known", [[0.3], [0.3, -0.3, 0.0], []])
     def test_one_known_bias_per_oracle(self, par3, known):

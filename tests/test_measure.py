@@ -8,16 +8,52 @@ import pytest
 
 from juntalab import (
     DomainError,
+    Junta,
     LengthMismatchError,
+    Oracle,
     as_bias_vector,
     assignments,
+    biased_coefficient_rational,
     block_rows,
     chi,
+    chi_cross_coefficient,
     density,
     sample_batch,
     sigma,
     sigma_vector,
+    theorem1_witness,
 )
+
+DICTATOR = Junta(2, (0,), (-1, 1))
+
+# every place that checks a bias, each fed r beside a valid 0
+BIAS_CHECKS = {
+    "sigma": sigma,
+    "sigma_vector": lambda r: sigma_vector(np.array([0.0, r])),
+    "as_bias_vector": lambda r: as_bias_vector([0.0, r], 2),
+    "sample_batch": lambda r: sample_batch(r, np.random.default_rng(0), 4, 3),
+    "Oracle": lambda r: Oracle(DICTATOR, r, master_seed=0),
+    "chi_cross_coefficient": lambda r: chi_cross_coefficient((0,), (), r, 0.0),
+    "theorem1_witness": lambda r: theorem1_witness(DICTATOR, 1, [0.0, r]),
+    "biased_coefficient_rational": lambda r: biased_coefficient_rational(DICTATOR, (0,), r),
+}
+BIAS_CASES = [
+    (check, r) for check in BIAS_CHECKS if check != "biased_coefficient_rational"
+    for r in (math.nan, -1.0, 1.0, 1.5)
+] + [("biased_coefficient_rational", r) for r in (Fraction(3, 2), Fraction(-1))]
+
+
+@pytest.mark.parametrize("check, r", BIAS_CASES)
+def test_every_bias_check_rejects_values_outside_the_domain(check, r):
+    with pytest.raises(DomainError):
+        BIAS_CHECKS[check](r)
+
+
+def test_rational_bias_is_compared_exactly():
+    # this bias rounds to 1.0 as a float, but lies inside (-1, 1)
+    r = 1 - Fraction(1, 2**60)
+    assert float(r) == 1.0
+    assert biased_coefficient_rational(DICTATOR, (0,), r) == 1
 
 
 class TestSigma:

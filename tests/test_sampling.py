@@ -66,6 +66,20 @@ class TestSampleSizes:
         with pytest.raises(DomainError):
             hoeffding_sample_size(1, 1.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "size",
+        [
+            lambda: hoeffding_sample_size(2000, 1.0, 0.1, 0.1),  # 2^card_s overflows
+            lambda: hoeffding_sample_size(1, 1.0, 1e-300, 0.1),  # 1 / epsilon^2 overflows
+            lambda: hoeffding_sample_size(500, 0.3, 1.0, 0.5),  # sigma^1000 underflows to 0
+            lambda: bias_sample_size(1e-160, 0.1),  # the count is inf
+            lambda: bias_sample_size(1e-300, 0.1),  # gamma^2 underflows to 0
+        ],
+    )
+    def test_sizes_past_float_range(self, size):
+        with pytest.raises(InvalidParamsError):
+            size()
+
     def test_bias_values(self):
         assert bias_sample_size(0.05, 0.05) == 14023
         assert bias_sample_size(1.0, 0.05) == 36
@@ -451,6 +465,38 @@ class TestMomentEngine:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+
+# entries that are not signs: the column of 0s that the popcount engine read
+# as +1, and entries 2 and 3 with a label of 5
+NOT_SIGN_BATCHES = {
+    "zero_column": ([[0, 1], [0, -1], [0, 1], [0, 1]], [1, 1, -1, 1]),
+    "two_three_five": ([[2, 3]], [5]),
+}
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda b: estimate_coefficient(b, (0,), 0.0),
+        lambda b: estimate_level_batch(b, 2, 0.0),
+        estimate_bias,
+    ],
+    ids=["coefficient", "level_batch", "bias"],
+)
+@pytest.mark.parametrize("batch", NOT_SIGN_BATCHES)
+def test_estimators_reject_entries_other_than_signs(estimate, batch):
+    with pytest.raises(InvalidParamsError):
+        estimate(ExampleBatch(*map(np.array, NOT_SIGN_BATCHES[batch])))
+
+
+def test_estimators_check_only_what_they_read():
+    batch = ExampleBatch(np.array([[1, 0], [-1, 0]]), np.array([1, 1]))
+    assert estimate_coefficient(batch, (0,), 0.0) == 0.0
+    with pytest.raises(InvalidParamsError):
+        estimate_coefficient(batch, (1,), 0.0)
+    # the bias estimate reads no labels
+    assert estimate_bias(ExampleBatch(np.array([[1, -1]]), np.array([0]))) == 0.0
 
 
 class TestEstimateBias:
