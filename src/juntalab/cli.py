@@ -25,7 +25,7 @@ import numpy as np
 from .boolfn import MAX_AMBIENT_VARS, Junta, _is_strict_int, random_junta
 from .errors import JuntaLabError
 from .fourier import _level_weight, biased_spectrum, expectation_polynomial
-from .learner import LearnerParams, LearnReport, LearnStatus, learn_junta
+from .learner import LearnerParams, LearnReport, LearnStatus, _learn_scan_caps, learn_junta
 from .measure import _check_bias
 from .russo import _russo_rhs, poly_derivative, root_set
 from .sampling import (
@@ -307,6 +307,7 @@ def _cmd_bench(args) -> int:
         params.validate(len(cfg["biases"]), require_coverage=True)
         if not k <= n <= MAX_AMBIENT_VARS:
             raise JuntaLabError(f"bench cell needs k <= n <= {MAX_AMBIENT_VARS}, got k={k}, n={n}")
+        _learn_scan_caps(params, n, cfg["biases"])
         cells.append((n, params))
 
     out = Path(args.out)

@@ -3,10 +3,22 @@
 The learner grows a set V of confirmed relevant variables.  Each round one
 pass over one raw stream, at the oracle whose bias is nearest 0, checks
 every sign pattern of V for constancy; a non-constant pattern goes to the
-threshold scan, which scans the oracles in order, estimating coefficients
-of size up to s at each, and stops at the first estimate above the
-threshold, returning one of its variables.
-When every pattern is constant their labels are the truth table.
+threshold scan, which returns one of its variables.  When every pattern is
+constant their labels are the truth table.
+
+The threshold scan is anytime.  It reads every oracle's stream in doubling
+prefixes, checkpoint j holding the first 512 * 2^j rows up to the oracle's
+cap, and runs checkpoint j at every oracle before checkpoint j + 1 at any.
+At each checkpoint it tests the coefficients of size up to s and stops at
+the first one whose estimate clears the threshold by its Hoeffding radius
+and, with estimated biases, by the bias error's bound beta: a certified
+hit.  A checkpoint at which a bound on every estimate shows that none can
+clear, whatever its new rows hold, is passed without reading them.  At its
+cap an oracle falls back to the fixed-size rule (estimate above the
+threshold), so when the oracles share one cap the worst case is the
+fixed-size scan's decision on the same stream prefixes.  The moments of
+every checkpoint's new rows are added to running counts, so each row is
+counted once.
 
 Draws from a restricted target are simulated by rejection: raw examples are
 discarded until the fixed coordinates match.  The scan never considers
@@ -33,11 +45,12 @@ from .errors import (
     NoCoefficientFoundError,
 )
 from .measure import sigma
+from .moments import _level_index, _Moments
 # perfbench/tracing.py wraps estimate_bias and estimate_coefficient here
 from .sampling import (  # noqa: F401
     ExampleBatch,
+    _bias_error,
     _clamped_bias_estimate,
-    _level_estimates,
     _sample_size,
     estimate_bias,
     estimate_coefficient,
@@ -58,6 +71,11 @@ __all__ = [
 ]
 
 _CHUNK_CAP = 65536
+# rows at a scan's first checkpoint; checkpoint j holds 512 * 2^j rows
+_FIRST_CHECKPOINT = 512
+# a scan asks an oracle for at most this many entries at a time, so a late
+# checkpoint never holds its whole batch
+_SCAN_PIECE_ELEMS = 1 << 22
 
 
 class LearnStatus(str, Enum):
@@ -142,6 +160,10 @@ def default_threshold(params: LearnerParams) -> float:
     return params.alpha ** (params.s / 2.0) * (params.gamma / 4.0) ** params.k / 2.0
 
 
+def _threshold(params: LearnerParams) -> float:
+    return params.threshold if params.threshold is not None else default_threshold(params)
+
+
 def _step_params(params: LearnerParams) -> LearnerParams:
     """params at the confidence each step of learn_junta runs at,
     delta / (k * 2^k)."""
@@ -208,10 +230,12 @@ class RestrictedOracle:
     """Oracle view of the target restricted by rho, via chunked rejection.
 
     The accepted stream is exactly the subsequence of raw draws matching rho,
-    whatever the chunk sizes.  Batches may overshoot by part of a chunk;
-    every raw draw is counted at the base oracle.  A draw_batch(m) call may
-    spend at most m * b raw attempts where b is the per-draw budget formula
-    above; with an empty rho it draws exactly m rows.
+    whatever the chunk sizes: a call keeps the rows it accepted past its
+    size and serves them first on the next call, as an Oracle keeps the rest
+    of its last block, so split draws give the rows of one draw.  Every raw
+    draw is counted at the base oracle.  A draw_batch(m) call may spend at
+    most m * b raw attempts where b is the per-draw budget formula above;
+    with an empty rho it draws exactly m rows.
     """
 
     def __init__(self, inner, rho: Mapping[int, int], params: LearnerParams):
@@ -222,6 +246,7 @@ class RestrictedOracle:
         idx = sorted(self.rho)
         self._idx = np.array(idx, dtype=np.int64)
         self._vals = np.array([self.rho[i] for i in idx], dtype=np.int8)
+        self._tail = ExampleBatch(np.empty((0, inner.n), dtype=np.int8), np.empty(0, np.int8))
 
     @property
     def n(self) -> int:
@@ -236,22 +261,26 @@ class RestrictedOracle:
         return self.inner.draws
 
     def draw_batch(self, m: int) -> ExampleBatch:
-        if m <= 0:
-            # the inner oracle serves an empty batch or rejects a negative size
+        if m <= 0 or not self.rho:
+            # every row matches an empty rho; the inner oracle serves an empty
+            # batch or rejects a negative size
             return self.inner.draw_batch(m)
+        xs, labels = [self._tail.xs], [self._tail.labels]
+        need = max(0, m - self._tail.m)
         p = self._params
-        cap = m * default_attempt_budget(p.alpha, len(self.rho), m, p.k, p.delta)
+        cap = need * default_attempt_budget(p.alpha, len(self.rho), need, p.k, p.delta)
         spent = have = 0
-        xs, labels = [], []
-        while have < m:
-            chunk = _chunk_size(m - have, have, spent, len(self.rho), cap)
+        while have < need:
+            chunk = _chunk_size(need - have, have, spent, len(self.rho), cap)
             batch = self.inner.draw_batch(chunk)
             spent += chunk
             keep = np.all(batch.xs[:, self._idx] == self._vals, axis=1)
             xs.append(batch.xs[keep])
             labels.append(batch.labels[keep])
             have += len(labels[-1])
-        return ExampleBatch(np.concatenate(xs)[:m], np.concatenate(labels)[:m])
+        xs, labels = np.concatenate(xs), np.concatenate(labels)
+        self._tail = ExampleBatch(xs[m:].copy(), labels[m:].copy())
+        return ExampleBatch(xs[:m], labels[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +296,107 @@ def _working_biases(oracles: Sequence, params: LearnerParams, delta_bias: float)
     return [_clamped_bias_estimate(o, params.alpha, params.s, delta_bias) for o in oracles]
 
 
+def _scan_caps(params: LearnerParams, n: int, biases: Sequence[float]) -> list[int]:
+    """Each oracle's scan cap: samples_per_coeff, or the Hoeffding size that
+    holds every coefficient up to level s within the threshold at confidence
+    delta / (t * n^s), at that oracle's bias.  Raises InvalidParamsError
+    when a size is past float range."""
+    if params.samples_per_coeff is not None:
+        return [params.samples_per_coeff] * len(biases)
+    try:
+        delta_coeff = params.delta / (len(biases) * n**params.s)
+    except OverflowError:  # n^s past float range: no finite sample suffices
+        raise InvalidParamsError(f"n^s = {n}^{params.s} is past float range") from None
+    # each level multiplies the bound by 4 / sigma^2 >= 4, so size s needs most
+    threshold = _threshold(params)
+    return [hoeffding_sample_size(params.s, sigma(r), threshold, delta_coeff) for r in biases]
+
+
+def _learn_scan_caps(params: LearnerParams, n: int, biases: Sequence[float]) -> list[int]:
+    """The caps of learn_junta's scans with oracles at these biases: at the
+    step confidence and, in the unknown-bias model, at the largest working
+    bias the clamp allows, which needs the largest cap."""
+    if params.unknown_biases:
+        biases = [1.0 - params.alpha] * len(biases)
+    return _scan_caps(_step_params(params), n, biases)
+
+
+def _bias_slack(s: int, eps: float, r: float) -> list[float]:
+    """beta_l = ((1 + eps)^l - 1) / sigma(r)^l for l = 0..s: a bound on what
+    an estimate at working bias r targets for a subset of size l that holds
+    an irrelevant variable, when r is within eps of the oracle's bias.
+
+    That target is sum over T, a proper subset of S, of
+    (bias - r)^{|S \\ T|} sigma^{|T|} f_bias(T) / sigma(r)^l, with
+    |f_bias(T)| <= 1 and sigma <= 1.  For known biases eps = 0 and beta = 0.
+    """
+    sig = sigma(r)
+    return [((1.0 + eps) ** level - 1.0) / sig**level for level in range(s + 1)]
+
+
+def _read_prefix(scan: _Moments, oracle, m: int) -> None:
+    """Add the oracle's next rows to scan until it holds m rows, asking for
+    at most _SCAN_PIECE_ELEMS entries at a time."""
+    piece = max(1, _SCAN_PIECE_ELEMS // oracle.n)
+    while scan.m < m:
+        batch = oracle.draw_batch(min(m - scan.m, piece))
+        scan.add(batch.xs, batch.labels)
+
+
+def _first_hit(scan: _Moments, r: float, threshold: float, slack: list, blocked: np.ndarray):
+    """The least index of the first subset S, by level and then in
+    lexicographic order, that avoids the blocked columns and whose estimate
+    has |est_S| - slack[|S|] > threshold; None if there is none.  A level
+    whose bound on every estimate cannot clear is not combined."""
+    for level in range(1, scan.index.s + 1):
+        if scan.bound(level, r) <= threshold + slack[level]:
+            continue
+        values = scan.estimates(level, r)
+        S = scan.index.subsets[level]
+        clear = np.flatnonzero(np.abs(values) - slack[level] > threshold)
+        hits = clear[~blocked[S[clear]].any(axis=1)]
+        if hits.size:
+            return int(S[hits[0], 0])
+    return None
+
+
 def find_one_relevant(
     oracles: Sequence,
     params: LearnerParams,
     exclude: frozenset[int] = frozenset(),
     known_biases: Sequence[float] | None = None,
 ) -> int:
-    """Scan oracles for a coefficient estimate above the threshold and return
-    the smallest index inside the first subset that clears it.
+    """Scan the oracles for a certified coefficient above the threshold and
+    return the smallest index inside the first subset that clears.
 
-    Order is deterministic: oracle index, then level 1..s, then subsets in
-    lexicographic order; candidate subsets avoid ``exclude``, whose indices
-    must lie in [0, n).  known_biases, when given, holds one bias per
-    oracle.  Per-coefficient confidence is delta / (t * n^s) so a union bound
-    covers the whole scan.
+    Oracle o has a cap m_o: samples_per_coeff, or the Hoeffding size that
+    holds every coefficient up to level s within the threshold at confidence
+    delta_coeff = delta / (t * n^s).  Checkpoint j holds an oracle's first
+    m_j = min(512 * 2^j, m_o) rows.  It runs at every oracle, in index
+    order, before checkpoint j + 1 runs at any; an oracle at its cap is
+    done.  At a checkpoint the subsets are tested by level 1..s, then in
+    lexicographic order; candidates avoid ``exclude``, whose indices must
+    lie in [0, n).  Below the cap S clears when
+
+        |est_S| - B^|S| * sqrt(2 ln(2 / delta_j) / m_j) - beta_|S| > threshold,
+
+    with B = (1 + |r|) / sigma(r) the range of a character at the working
+    bias r and delta_j = delta_coeff / 2^(j + 1), so the checkpoints spend
+    delta_coeff between them: a certified coefficient above the threshold.
+    beta is 0 for known biases; for estimated ones it bounds what a subset
+    holding an irrelevant variable estimates (_bias_slack), with eps the
+    bias phase's Hoeffding accuracy.  Below the cap, a checkpoint whose
+    level bounds (_Moments.bound) show that no estimate can clear, however
+    its m_j - m_{j-1} new rows fall, passes without reading them; they are
+    read at the next checkpoint that can clear.  At its cap an oracle reads
+    all m_o rows and uses the fixed-size rule |est_S| > threshold, so when
+    the oracles share one cap a scan that certifies nothing makes the
+    fixed-size scan's decision on each oracle's first m_o rows.
+
+    known_biases, when given, holds one bias per oracle; in the unknown-bias
+    model they are taken to be estimates made at confidence delta per
+    oracle, as learn_junta makes them.  Otherwise the scan estimates the
+    biases itself at delta / t each.
     """
     t = len(oracles)
     params.validate(t, require_coverage=False)
@@ -291,26 +407,43 @@ def find_one_relevant(
         raise InvalidParamsError("no candidate variables remain outside the exclusion set")
     if known_biases is not None and len(known_biases) != t:
         raise LengthMismatchError(f"{len(known_biases)} known biases for {t} oracles")
-    threshold = (
-        params.threshold if params.threshold is not None else default_threshold(params)
-    )
     if known_biases is not None:
-        biases = [float(b) for b in known_biases]
+        biases, delta_bias = [float(b) for b in known_biases], params.delta
     else:
-        biases = _working_biases(oracles, params, params.delta / t)
-    for oracle, r in zip(oracles, biases):
-        m = params.samples_per_coeff
-        if m is None:
-            # each level multiplies the bound by 4 / sigma^2 >= 4, so size s needs most
-            try:
-                delta_coeff = params.delta / (t * n**params.s)
-            except OverflowError:  # n^s past float range: no finite sample suffices
-                raise InvalidParamsError(f"n^s = {n}^{params.s} is past float range") from None
-            m = hoeffding_sample_size(params.s, sigma(r), threshold, delta_coeff)
-        for S, values in _level_estimates(oracle.draw_batch(m), params.s, r):
-            hits = np.flatnonzero((np.abs(values) > threshold) & ~blocked[S].any(axis=1))
-            if hits.size:
-                return int(S[hits[0], 0])
+        delta_bias = params.delta / t
+        biases = _working_biases(oracles, params, delta_bias)
+    caps = _scan_caps(params, n, biases)
+    threshold = _threshold(params)
+    eps = _bias_error(params.alpha, params.s, delta_bias, n) if params.unknown_biases else 0.0
+    index = _level_index(n, min(params.s, n))
+    levels = range(index.s + 1)
+    scans = [_Moments(index) for _ in oracles]
+    # per oracle, B^l with B = (1 + |r|) / sigma(r), and beta_l
+    ranges = [[((1.0 + abs(r)) / sigma(r)) ** level for level in levels] for r in biases]
+    betas = [_bias_slack(index.s, eps, r) for r in biases]
+    # ln(2 / delta_coeff), summed in logs so that n^s cannot overflow
+    log_coeff = math.log(2.0 * t / params.delta) + params.s * math.log(n)
+    j = 0
+    while any(scan.m < cap for scan, cap in zip(scans, caps)):
+        width = 2.0 * (log_coeff + (j + 1) * math.log(2.0))
+        for scan, cap, oracle, r, B, beta in zip(scans, caps, oracles, biases, ranges, betas):
+            if scan.m == cap:
+                continue
+            m = min(_FIRST_CHECKPOINT << j, cap)
+            if m == cap:
+                slack = [0.0 for _ in levels]
+            else:
+                radius = math.sqrt(width / m)
+                slack = [B[level] * radius + beta[level] for level in levels]
+                unread = m - scan.m
+                if all(scan.bound(level, r, unread) <= threshold + slack[level]
+                       for level in levels[1:]):
+                    continue  # no estimate can clear here, whatever the rows hold
+            _read_prefix(scan, oracle, m)
+            hit = _first_hit(scan, r, threshold, slack, blocked)
+            if hit is not None:
+                return hit
+        j += 1
     raise NoCoefficientFoundError(
         f"no coefficient above {threshold} across {t} oracles up to level {params.s}"
     )

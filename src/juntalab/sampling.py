@@ -5,20 +5,10 @@ sizes come from Hoeffding bounds on the standardized characters, whose range
 grows like (2 / sigma)^|S|, hence the (2^|S| / (epsilon * sigma^|S|))^2
 factor in the calibration.
 
-Every coefficient estimate comes from one moment engine.  For +/-1 data,
-
-    sum_t y_t prod_{i in S} (x_{t,i} - r)
-        = sum_{T subset S} (-r)^{|S \\ T|} * M_T,
-    M_T = sum_t y_t prod_{i in T} x_{t,i},
-
-and each M_T is an integer.  The engine packs each block of rows one bit per
-row and column and counts M_T = m - 2 * popcount(y XOR x_T) in int64 for
-every subset up to the needed size, one array per level in lexicographic
-order.  Counts are exact whatever the block split.  One array combine then
-turns the exact moments of a level into its estimates with a fixed order of
-elementwise float64 operations, so a batch scan and a per-subset call
-produce bit-identical values and a replayed example stream reproduces a run
-decision for decision.
+Every coefficient estimate comes from the exact moment engine in
+juntalab.moments, so a batch scan, a per-subset call and a scan that reads
+its stream in growing prefixes produce bit-identical values on the same
+rows, and a replayed example stream reproduces a run decision for decision.
 """
 
 from __future__ import annotations
@@ -26,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -47,6 +37,7 @@ from .measure import (
     sigma,
     sigma_vector,
 )
+from .moments import _level_index, _Moments
 
 __all__ = [
     "ExampleBatch",
@@ -120,10 +111,14 @@ class Oracle:
     def draw_batch(self, m: int) -> ExampleBatch:
         if m < 0:
             raise InvalidParamsError(f"batch size must be nonnegative, got {m}")
-        rows = block_rows(self.n)
-        fresh = -(-max(0, m - len(self._tail)) // rows) * rows
-        drawn = sample_batch(self.bias, self._rng, len(self._tail) + fresh, self.n, head=self._tail)
-        xs, self._tail = drawn[:m], drawn[m:].copy()
+        if m <= len(self._tail):
+            # the kept rows cover the call; both parts stay views of one block
+            xs, self._tail = self._tail[:m], self._tail[m:]
+        else:
+            rows = block_rows(self.n)
+            fresh = -(-(m - len(self._tail)) // rows) * rows
+            drawn = sample_batch(self.bias, self._rng, len(self._tail) + fresh, self.n, self._tail)
+            xs, self._tail = drawn[:m], drawn[m:].copy()
         labels = self.f.eval_batch(xs)
         self.draws += m
         return ExampleBatch(xs, labels)
@@ -260,154 +255,6 @@ def bias_sample_size(gamma: float, delta: float) -> int:
 # estimators
 
 
-def _binomials(c: int, s: int) -> np.ndarray:
-    """The (c + 1, s + 1) table of C(a, b), column b the running sums of column
-    b - 1: C(a, b) = sum_{a' < a} C(a', b - 1)."""
-    table = np.zeros((c + 1, s + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for b in range(1, s + 1):
-        np.cumsum(table[:-1, b - 1], out=table[1:, b])
-    return table
-
-
-def _lex_rank(T: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each row of T, an increasing k-subset of
-    range(c), among all k-subsets, with binom = _binomials(c, s), s >= k:
-
-        C(c, k) - 1 - sum_i C(c - 1 - T[:, i], k - i),
-
-    the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3) applied to the
-    complements c - 1 - T[:, i], whose colexicographic order reverses the
-    lexicographic one.
-    """
-    c, k = len(binom) - 1, T.shape[1]
-    rank = np.full(len(T), binom[c, k] - 1)
-    for i in range(k):
-        rank -= binom[c - 1 - T[:, i], k - i]
-    return rank
-
-
-def _subsets(c: int, s: int) -> list[np.ndarray]:
-    """The j-subsets of range(c) for j = 0..s, one (C(c, j), j) array per
-    level in lexicographic order.
-
-    The j-subsets with least element f are f joined to the (j-1)-subsets of
-    {f+1, ..., c-1}, which are the last C(c-f-1, j-1) rows of level j-1.
-    """
-    binom = _binomials(c, s)
-    levels = [np.zeros((1, 0), dtype=np.intp)]
-    for j in range(1, s + 1):
-        runs = binom[c - 1 :: -1, j - 1]  # C(c-f-1, j-1) for f = 0..c-1
-        lead = np.repeat(np.arange(c), runs)
-        first = np.cumsum(runs) - runs  # the run of f starts at first[f]
-        tail = np.arange(len(lead)) + np.repeat(len(levels[-1]) - runs - first, runs)
-        levels.append(np.column_stack([lead, levels[-1][tail]]))
-    return levels
-
-
-def _packed(signs: np.ndarray, words: int) -> np.ndarray:
-    """A (rows, c) block of signs, rows <= 64 * words, as a (words, c) array
-    of 64-bit words: each row is one bit of each column's words, set when
-    the sign is -1, and bits for rows past the block are 0.
-
-    Each entry's 0/1 flag is one byte.  Part k of the rows (rows 8 * words *
-    k to 8 * words * (k + 1), k < 8) is shifted to bit k and or-ed into the
-    others, as 64-bit words over whole contiguous parts; a byte transpose
-    then gathers each column's 8 bytes of a word.  Every call maps rows to
-    bits the same way, so columns and labels packed apart line up.
-    """
-    rows, c = signs.shape
-    flags = np.zeros((64 * words, c), dtype=np.uint8)
-    np.less(signs, 0, out=flags[:rows].view(bool))
-    parts = flags.reshape(8, -1).view(np.uint64)
-    packed = parts[0].copy()
-    for k in range(1, 8):
-        packed |= parts[k] << np.uint64(k)
-    groups = packed.view(np.uint8).reshape(words, 8, c).transpose(0, 2, 1)
-    return np.ascontiguousarray(groups).view(np.uint64)[..., 0]
-
-
-def _moment_tables(xs: np.ndarray, labels: np.ndarray, s: int) -> tuple[list, list]:
-    """The subsets of the c columns of xs with |T| <= s, as _subsets(c, s)
-    gives them, and their exact moments M_T, one int64 array per level in
-    the same order.  Every entry of xs and labels must be -1 or 1.
-
-    Each block of rows packs its columns and labels one bit per row (bit set
-    for -1).  With v_T the XOR of the label bits and the bits of the columns
-    in T, M_T = rows - 2 * popcount(v_T): integer counts, exact in any
-    block split.  Level j's vectors are level j-1's vectors of T minus its
-    least element, gathered by lexicographic rank, XOR that element's
-    column.  A block is a multiple of 64 rows, sized so that the buffers
-    alive at once, its flags (a byte per entry) while packing and then two
-    consecutive levels' vectors, come to about _CHUNK_ELEMS bytes; one
-    block's buffers are alive at a time, so working memory does not grow
-    with the number of rows.
-    """
-    m, c = xs.shape
-    subsets, binom = _subsets(c, s), _binomials(c, s)
-    lead = [T[:, 0] for T in subsets[1:]]
-    tail = [_lex_rank(T[:, 1:], binom) for T in subsets[1:]]
-    counts = [np.zeros(len(T), dtype=np.int64) for T in subsets]
-    # bytes alive per 64 rows: a flag per entry while packing, then the
-    # packed columns with level j-1's vectors and level j's (a gather, the
-    # gathered lead columns and a popcount byte per subset)
-    sizes = [len(T) for T in subsets]
-    level = max((8 * a + 17 * b for a, b in zip(sizes, sizes[1:])), default=0)
-    rows = 64 * max(1, _CHUNK_ELEMS // max(64 * (c + 1), 8 * c + level))
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
-        words = -(-len(labels[block]) // 64)
-        x, v = _packed(xs[block], words), _packed(labels[block, None], words)
-        for j in range(s + 1):
-            if j:
-                v = np.take(v, tail[j - 1], axis=1)
-                v ^= np.take(x, lead[j - 1], axis=1)
-            # a block's count is at most 64 * words, well inside uint32
-            counts[j] += np.add.reduce(np.bitwise_count(v), axis=0, dtype=np.uint32)
-    return subsets, [m - 2 * count for count in counts]
-
-
-def _estimates(S: np.ndarray, moments: list, c: int, r: float, m: int) -> np.ndarray:
-    """The estimates (1/m) sum_t y_t chi_S(x_t, r) for each row S of one
-    level, from the exact moments of the c columns.
-
-    For each mask of S's positions, from 0 to 2^|S| - 1, the term is the
-    moment of the subset the mask selects, gathered by its lexicographic
-    rank and multiplied by -r once per missing position, in position order;
-    the terms are summed in mask order, divided by sigma^|S| (built by
-    repeated multiplication), then by m.  The moments are integers of
-    magnitude at most m < 2^53, exact in float64, so every subset gets the
-    same bits whichever level table or column selection it is read from.
-    """
-    sig, j = sigma(r), S.shape[1]
-    binom = _binomials(c, j)
-    acc = np.zeros(len(S))
-    for mask in range(1 << j):
-        chosen = [b for b in range(j) if mask >> b & 1]
-        term = moments[len(chosen)][_lex_rank(S[:, chosen], binom)].astype(np.float64)
-        for b in range(j):
-            if not mask >> b & 1:
-                term *= -r
-        acc += term
-    scale = 1.0
-    for _ in range(j):
-        scale *= sig
-    return acc / scale / m
-
-
-def _level_estimates(batch: ExampleBatch, s_max: int, r: float) -> Iterator[tuple]:
-    """(subsets, estimates) for levels 1..min(s_max, n) in turn, the subsets
-    in lexicographic order; each level is combined only when it is reached."""
-    if batch.m == 0:
-        raise EmptySampleError("coefficient estimation needs at least one example")
-    if s_max < 1:
-        raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
-    r = float(r)
-    subsets, moments = _moment_tables(batch.xs, batch.labels, min(s_max, batch.n))
-    for S in subsets[1:]:
-        yield S, _estimates(S, moments, batch.n, r, batch.m)
-
-
 def _subset_indices(S: Iterable, n: int) -> list[int]:
     """S as increasing column indices; each must be a distinct integer in
     [0, n), not a bool."""
@@ -430,8 +277,9 @@ def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> flo
     S = _subset_indices(S, batch.n)
     xs = _check_signs(batch.xs[:, S], 2, "example entries")
     labels = _check_signs(batch.labels, 1, "labels")
-    subsets, moments = _moment_tables(xs, labels, len(S))
-    return float(_estimates(subsets[-1], moments, len(S), float(r), batch.m)[0])
+    moments = _Moments(_level_index(len(S), len(S)))
+    moments.add(xs, labels)
+    return float(moments.estimates(len(S), float(r))[0])
 
 
 def estimate_level_batch(
@@ -446,8 +294,15 @@ def estimate_level_batch(
     """
     _check_signs(batch.xs, 2, "example entries")
     _check_signs(batch.labels, 1, "labels")
+    if batch.m == 0:
+        raise EmptySampleError("coefficient estimation needs at least one example")
+    if s_max < 1:
+        raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
+    moments = _Moments(_level_index(batch.n, min(s_max, batch.n)))
+    moments.add(batch.xs, batch.labels)
     out = {}
-    for S, values in _level_estimates(batch, s_max, r):
+    for j in range(1, moments.index.s + 1):
+        S, values = moments.index.subsets[j], moments.estimates(j, float(r))
         out.update(zip(map(tuple, S.tolist()), values.tolist()))
     return out
 
@@ -481,6 +336,15 @@ def _clamped_bias_estimate(oracle, alpha: float, card_s: int, delta: float) -> f
     m = bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
     est = estimate_bias(oracle.draw_batch(m))
     return min(max(est, -(1.0 - alpha)), 1.0 - alpha)
+
+
+def _bias_error(alpha: float, card_s: int, delta: float, n: int) -> float:
+    """Accuracy, at confidence 1 - delta, of _clamped_bias_estimate's bias at
+    the same (alpha, card_s, delta) on n columns: the Hoeffding radius
+    sqrt(2 ln(2/delta) / (m n)) of the mean of the m * n pooled entries.
+    The clamp only moves an estimate toward a bias that keeps the promise."""
+    m = bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
+    return math.sqrt(2.0 * math.log(2.0 / delta) / (m * n))
 
 
 def estimate_coefficient_unknown_bias(

@@ -221,9 +221,17 @@ LEARN_ARGS = [
 
 # (target, biases, the other learn flags, the oracles the run consults)
 DUMP_CASES = {
-    # AND2 resolves from oracle 0 alone, so oracle 1 dumps an empty file
-    "and2_one_oracle_unused": (
-        Junta(12, (3, 9), (-1, -1, -1, 1)), (-0.3, 0.3), LEARN_ARGS[1:], (0,),
+    # AND2's level-1 coefficients at bias -0.3, 0.334, sit at the first
+    # checkpoint's certified margin; at seed 7 oracle 0 misses it there, so
+    # oracle 1 is consulted too
+    "and2_both_oracles": (
+        Junta(12, (3, 9), (-1, -1, -1, 1)), (-0.3, 0.3), LEARN_ARGS[1:], (0, 1),
+    ),
+    # OR2's level-1 coefficients at bias -0.3 are 0.62, and the restricted
+    # dictator's is 0.95: oracle 0 certifies at its first checkpoint in every
+    # round, so oracle 1 is never consulted and dumps an empty file
+    "or2_one_oracle_unused": (
+        Junta(12, (3, 9), (-1, 1, 1, 1)), (-0.3, 0.3), LEARN_ARGS[1:], (0,),
     ),
     "par3_unknown_biases": (
         Junta(6, (0, 2, 5), parity_core(3)),
@@ -247,7 +255,7 @@ class TestLearn:
         assert report["status"] == "ExactSuccess"
         assert report["relevant"] == [3, 9]
         assert report["table"] == "0001"
-        # only consulted oracles appear; this run resolves from oracle 0 alone
+        # only consulted oracles appear, and oracle 0 is always consulted
         assert "oracle_0" in report["samples"]
         assert set(report["samples"]) <= {"oracle_0", "oracle_1"}
         assert all(v > 0 for v in report["samples"].values())
@@ -304,6 +312,24 @@ class TestLearn:
             np.savetxt(want, np.column_stack([batch.xs, batch.labels]), fmt="%d", delimiter=",")
             got = Path(f"{prefix}_oracle{j}.csv").read_bytes()
             assert got == want.read_bytes(), j
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_calibrated_defaults_learn_from_few_draws(self, tmp_path, seed):
+        # without --samples-per-coeff or --threshold the cap is the
+        # calibrated Hoeffding size, tens of millions of rows per scan here;
+        # the certified checkpoints stop each scan after a few hundred
+        fn, report = tmp_path / "f.json", tmp_path / "report.json"
+        assert main(["gen", "--n", "10", "--k", "2", "--seed", "5", "--out", str(fn)]) == 0
+        f = Junta.from_json_dict(json.loads(fn.read_text()))
+        assert main(
+            ["learn", "--fn", str(fn), "--biases=-0.3,0.3", "--k", "2", "--s", "1",
+             "--alpha", "0.6", "--gamma", "0.2", "--delta", "0.1", "--seed", str(seed),
+             "--report", str(report)]
+        ) == 0
+        got = json.loads(report.read_text())
+        assert got["status"] == "ExactSuccess"
+        assert got["relevant"] == list(f.relevant)
+        assert sum(got["samples"].values()) < 10_000
 
     def test_dump_and_replay_exclude_each_other(self, and2_12_path, tmp_path):
         prefix = str(tmp_path / "streams")
@@ -400,6 +426,18 @@ class TestBench:
         out = tmp_path / "runs.csv"
         cfg = self.config(tmp_path, k=5, n=3)
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unknown", [False, True])
+    def test_scan_size_overflow_leaves_no_file(self, tmp_path, capsys, unknown):
+        # only a scan sees the calibrated cap, which needs n and the biases;
+        # bench sizes every cell's scans before it opens the CSV
+        out = tmp_path / "runs.csv"
+        cfg = self.config(
+            tmp_path, threshold=1e-300, samples_per_coeff=None, unknown_biases=unknown
+        )
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "sample size too large" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_key(self, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from conftest import fsum_coefficient, parity_core
 from juntalab import (
     BudgetExhaustedError,
+    ExampleBatch,
     InvalidIndexError,
     InvalidParamsError,
     Junta,
@@ -26,9 +27,12 @@ from juntalab import (
     find_one_relevant,
     hoeffding_sample_size,
     learn_junta,
+    assignments,
+    estimate_level_batch,
     random_junta,
     sigma,
 )
+from juntalab.learner import _bias_slack
 
 
 def params_for(k, s, alpha, gamma=0.2, delta=0.1, **kw):
@@ -243,6 +247,16 @@ class TestRestrictedOracle:
         assert np.array_equal(got.xs, raw.xs[keep][:150])
         assert np.array_equal(got.labels, raw.labels[keep][:150])
 
+    def test_split_draws_equal_one_draw(self, and2):
+        # rows accepted past one call's size are served first by the next
+        p = params_for(2, 1, 0.5)
+        whole = RestrictedOracle(Oracle(and2, 0.3, master_seed=5), {0: -1, 3: 1}, p)
+        want = whole.draw_batch(300)
+        split = RestrictedOracle(Oracle(and2, 0.3, master_seed=5), {0: -1, 3: 1}, p)
+        parts = [split.draw_batch(size) for size in (7, 50, 1, 0, 150, 92)]
+        assert np.array_equal(np.concatenate([b.xs for b in parts]), want.xs)
+        assert np.array_equal(np.concatenate([b.labels for b in parts]), want.labels)
+
     def test_draws_count_raw_attempts(self, and2):
         p = params_for(2, 1, 0.5)
         view = RestrictedOracle(Oracle(and2, 0.0, master_seed=7), {1: 1}, p)
@@ -365,26 +379,113 @@ class TestFindOneRelevant:
     @pytest.mark.parametrize("exclude", [frozenset(), frozenset({1}), frozenset({4, 7})])
     def test_first_hit_matches_brute_scan(self, exclude):
         # oracle 0 sees nothing below level 3; at bias 0.5 every level-2
-        # coefficient inside {1, 4, 6} is 0.375, above the threshold, and
-        # every level-1 one is 0.2165, below it
+        # coefficient inside {1, 4, 6} is 0.375 and every level-1 one is
+        # 0.2165.  At threshold 0.3 no radius below the 4 000-row cap is
+        # small enough, so the hit comes from the fixed-size rule at the
+        # cap; at threshold 0.1 a checkpoint below the 20 000-row cap
+        # certifies it
         f = Junta(8, (1, 4, 6), parity_core(3))
-        p = params_for(3, 2, 0.5, samples_per_coeff=4_000, threshold=0.3)
-        oracles = [Oracle(f, r, master_seed=5, oracle_id=j) for j, r in enumerate((0.0, 0.5))]
-        got = find_one_relevant(oracles, p, exclude=exclude)
+        for threshold, cap, certified in [(0.3, 4_000, False), (0.1, 20_000, True)]:
+            p = params_for(3, 2, 0.5, samples_per_coeff=cap, threshold=threshold)
+            oracles = [Oracle(f, r, master_seed=5, oracle_id=j) for j, r in enumerate((0.0, 0.5))]
+            got = find_one_relevant(oracles, p, exclude=exclude)
+            streams = [
+                Oracle(f, o.bias, master_seed=5, oracle_id=j).draw_batch(cap)
+                for j, o in enumerate(oracles)
+            ]
+            want, drawn = self._brute_anytime_scan(streams, (0.0, 0.5), p, exclude)
+            assert got == want[0]
+            assert [o.draws for o in oracles] == drawn
+            assert (max(drawn) < cap) == certified
 
-        hits = []
-        for j, oracle in enumerate(oracles):
-            # the scan saw exactly the prefix of the oracle's seeded stream
-            batch = Oracle(f, oracle.bias, master_seed=5, oracle_id=j).draw_batch(oracle.draws)
-            rv = np.full(8, oracle.bias)
-            for size in (1, 2):
-                for S in itertools.combinations(range(8), size):
-                    value = fsum_coefficient(batch, S, rv)
-                    assert abs(abs(value) - p.threshold) > 1e-9
-                    if abs(value) > p.threshold:
-                        hits.append(S)
-        assert len(hits) >= 3
-        assert got == next(S for S in hits if exclude.isdisjoint(S))[0]
+    @staticmethod
+    def _brute_anytime_scan(streams, biases, p, exclude):
+        """The anytime rule from fsum estimates on each checkpoint prefix:
+        checkpoint j holds min(512 * 2^j, cap) rows, runs at every oracle in
+        order before checkpoint j + 1, and tests levels 1..s, then
+        lexicographic order.  Returns the first subset that clears and the
+        rows each oracle read."""
+        t, n, cap = len(streams), streams[0].n, p.samples_per_coeff
+        drawn = [0] * t
+        for j in itertools.count():
+            m = min(512 * 2**j, cap)
+            delta_j = p.delta / (t * n**p.s) / 2 ** (j + 1)
+            for o, (stream, r) in enumerate(zip(streams, biases)):
+                if drawn[o] == cap:
+                    continue
+                drawn[o] = m
+                batch = ExampleBatch(stream.xs[:m], stream.labels[:m])
+                B = (1 + abs(r)) / math.sqrt(1 - r * r)
+                for size in range(1, p.s + 1):
+                    slack = 0.0 if m == cap else B**size * math.sqrt(2 * math.log(2 / delta_j) / m)
+                    for S in itertools.combinations(range(n), size):
+                        value = fsum_coefficient(batch, S, np.full(n, r))
+                        assert abs(abs(value) - slack - p.threshold) > 1e-9
+                        if abs(value) - slack > p.threshold and exclude.isdisjoint(S):
+                            return S, drawn
+            if all(d == cap for d in drawn):
+                raise AssertionError("the brute scan found nothing")
+
+    def test_no_certified_hit_gives_the_fixed_size_decision(self, par3_wide):
+        # the level-1 coefficients at bias +-0.5 are +-0.2165, just below the
+        # threshold 0.23, and the zero ones at bias 0 are further below, so
+        # no checkpoint certifies: every scan reaches the 6 000-row cap, and
+        # its answer is the fixed-size scan's over each oracle's first 6 000
+        # rows, in oracle order
+        p = params_for(3, 1, 0.5, samples_per_coeff=6_000, threshold=0.23)
+        outcomes = set()
+        for seed in range(20):
+            biases = (0.0, 0.5, -0.5)
+            oracles = [Oracle(par3_wide, r, master_seed=seed, oracle_id=j)
+                       for j, r in enumerate(biases)]
+            want = None
+            for j, r in enumerate(biases):
+                batch = Oracle(par3_wide, r, master_seed=seed, oracle_id=j).draw_batch(6_000)
+                hits = [S for S, v in estimate_level_batch(batch, 1, r).items() if abs(v) > 0.23]
+                if hits:
+                    want = (hits[0][0], j)
+                    break
+            try:
+                got = find_one_relevant(oracles, p)
+            except NoCoefficientFoundError:
+                got = None
+                assert [o.draws for o in oracles] == [6_000] * 3
+            else:
+                assert oracles[want[1]].draws == 6_000
+            assert got == (want and want[0])
+            outcomes.add(want and want[1])
+        # the seeds reach a hit at oracle 1, at oracle 2 and at none
+        assert outcomes == {1, 2, None}
+
+    def test_checkpoints_no_estimate_can_clear_pass_unread(self):
+        # criterion 10's scan: no coefficient of levels 1 and 2 at bias 0,
+        # threshold 0.5.  After the first 512 rows no estimate can reach
+        # 0.5 plus the radius at 1 024 rows, whatever 512 more rows hold, so
+        # that checkpoint is passed without reading them; the same holds at
+        # 4 096 and 16 384 rows.  The cap is always read in full
+        f = Junta(20, (2, 5, 8), parity_core(3))
+        p = LearnerParams(
+            k=3, s=2, alpha=1.0, gamma=0.5, delta=0.1, threshold=0.5, samples_per_coeff=20_000
+        )
+        oracle = Oracle(f, 0.0, master_seed=0)
+        sizes = []
+        draw = oracle.draw_batch
+        oracle.draw_batch = lambda m: sizes.append(m) or draw(m)
+        with pytest.raises(NoCoefficientFoundError):
+            find_one_relevant([oracle], p)
+        assert sizes == [512, 1_536, 6_144, 11_808]
+        assert oracle.draws == 20_000
+
+    def test_single_uniform_oracle_stays_blind(self):
+        # criterion 8(b) on 200 more seeds: at bias 0 every level-1
+        # coefficient of PAR3_100 is 0, so no checkpoint may certify one
+        f = Junta(100, (11, 47, 83), parity_core(3))
+        p = params_for(3, 1, 1.0, gamma=0.5, samples_per_coeff=50_000, threshold=0.05)
+        for seed in range(20, 220):
+            oracle = Oracle(f, 0.0, master_seed=seed)
+            with pytest.raises(NoCoefficientFoundError):
+                find_one_relevant([oracle], p)
+            assert oracle.draws == 50_000
 
     def test_calibrated_scan_size(self):
         # without samples_per_coeff an oracle serves the Hoeffding size that
@@ -401,6 +502,33 @@ class TestFindOneRelevant:
         p = params_for(3, 1, 0.5, samples_per_coeff=20_000, threshold=0.05)
         idx = find_one_relevant([Oracle(par3, 0.5, master_seed=2)], p)
         assert idx in (0, 1, 2)
+
+
+@pytest.mark.parametrize("n, S, irrelevant", [(6, (1, 4), 4), (8, (0, 5, 7), 7), (10, (9,), 9)])
+def test_bias_slack_bounds_what_an_irrelevant_subset_estimates(n, S, irrelevant):
+    # E_r[y chi_S(x, r')] by exact enumeration, for S holding a variable the
+    # target ignores and a working bias r' within eps of the bias r
+    X = assignments(n).astype(np.float64)
+    targets = [random_junta(n, 3, seed) for seed in range(6)] + [Junta(n, (), (1,))]
+    worst = 0.0
+    for f in targets:
+        if irrelevant in f.relevant:
+            continue
+        y = f.eval_batch(X.astype(np.int8)).astype(np.float64)
+        for r in (-0.7, -0.2, 0.0, 0.4, 0.8):
+            density = np.prod((1.0 + r * X) / 2.0, axis=1)
+            for eps in (0.006, 0.05, 0.15):
+                for r_work in (r - eps, r + eps):
+                    if not -1.0 < r_work < 1.0:
+                        continue
+                    chi = np.prod((X[:, list(S)] - r_work) / sigma(r_work), axis=1)
+                    target = abs(float(np.dot(density, y * chi)))
+                    beta = _bias_slack(len(S), eps, r_work)[len(S)]
+                    assert target <= beta * (1 + 1e-12), (f, r, r_work)
+                    worst = max(worst, target / beta)
+    # for |S| = 1 the constant target meets the bound; for larger S the
+    # (1 + eps)^|S| - 1 terms cannot all be met at once
+    assert worst > (0.99 if len(S) == 1 else 0.05)
 
 
 class TestLearnJunta:
@@ -474,8 +602,11 @@ class TestLearnJunta:
         # and its scan confirms variable 2; in round two the pattern x2 = +1,
         # where the target is x5, shows both labels and its scan confirms 5.
         # In round three the pattern x2 = x5 = -1 has rate 6e-6, far below
-        # what the raw cap allows, so the pass starves.  The round-two scan
-        # pays 40 000 raw draws: its first chunk assumes rate 1/2.
+        # what the raw cap allows, so the pass starves.  At sigma(0.995) no
+        # radius certifies, so both scans read to their 20 000-row caps.
+        # The round-two scan pays 21 550 raw draws: each checkpoint's first
+        # chunk assumes rate 1/2, and the rows it accepts past the
+        # checkpoint serve the next one.
         f = Junta(8, (2, 5), (-1, -1, -1, 1))
         p = params_for(4, 4, 0.5, samples_per_coeff=20_000, threshold=0.05)
         report = learn_junta([Oracle(f, 0.995, master_seed=0)], p)
@@ -484,7 +615,7 @@ class TestLearnJunta:
         assert report.table is None
         unrestricted = constancy_sample_size(replace(p, delta=p.delta / (4 * 2**4)))
         assert report.samples["constancy"][0] > unrestricted
-        assert report.samples["coefficients"] == {0: 60_000}
+        assert report.samples["coefficients"] == {0: 41_550}
 
     @pytest.mark.parametrize("unknown", [False, True])
     def test_constancy_draws_from_the_bias_nearest_zero(self, par3_wide, unknown):
@@ -536,7 +667,7 @@ class TestLearnJunta:
         assert report.status is LearnStatus.EXACT_SUCCESS
         assert report.relevant == f.relevant
         assert report.table == f.core
-        want = {0: {0: 626922}, 1: {0: 632793}, 2: {0: 812403}}
+        want = {0: {0: 261192}, 1: {0: 266477, 1: 2218}, 2: {0: 270318, 1: 5637}}
         if seed in want:
             assert report.total_samples() == want[seed]
 

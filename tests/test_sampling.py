@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fsum_coefficient, parity_core, random_suite
-from juntalab import sampling
+from juntalab import moments, sampling
 from juntalab import (
     BudgetExhaustedError,
     DomainError,
@@ -210,7 +210,7 @@ class TestRecordReplay:
             "wide_rows": (signs[:5, :8], signs[:5, 8], 4),
         }[case]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        with mock.patch.object(sampling, "_CHUNK_ELEMS", chunk):
+        with mock.patch.object(moments, "_CHUNK_ELEMS", chunk):
             dump_examples_csv(ExampleBatch(xs, labels), got)
         np.savetxt(want, np.column_stack([xs, labels]), fmt="%d", delimiter=",")
         assert got.read_bytes() == want.read_bytes()
@@ -353,7 +353,7 @@ class TestMomentEngine:
         # a small block budget makes m span several blocks, most ending short
         batch, r, S, chunk_elems = case
         rv = np.full(batch.n, r)
-        with mock.patch.object(sampling, "_CHUNK_ELEMS", chunk_elems):
+        with mock.patch.object(moments, "_CHUNK_ELEMS", chunk_elems):
             got = estimate_coefficient(batch, S, r)
             table = estimate_level_batch(batch, 3, r)
         assert abs(got - fsum_coefficient(batch, S, rv)) <= 1e-12
@@ -361,10 +361,78 @@ class TestMomentEngine:
             assert abs(val - fsum_coefficient(batch, T, rv)) <= 1e-12
             assert val == estimate_coefficient(batch, T, r)
 
+    @given(_engine_cases(), st.lists(st.integers(0, 120), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_running_counts_equal_one_batch(self, case, cuts):
+        # rows added in pieces are counted once each: the moments and every
+        # estimate's bits match one pass over the whole batch
+        batch, r, _, chunk_elems = case
+        s = min(3, batch.n)
+        bounds = sorted({0, batch.m, *(min(c, batch.m) for c in cuts)})
+        with mock.patch.object(moments, "_CHUNK_ELEMS", chunk_elems):
+            whole = moments._Moments(moments._level_index(batch.n, s))
+            whole.add(batch.xs, batch.labels)
+            parts = moments._Moments(moments._level_index(batch.n, s))
+            for a, b in zip(bounds, bounds[1:]):
+                parts.add(batch.xs[a:b], batch.labels[a:b])
+        assert parts.m == whole.m == batch.m
+        for j in range(s + 1):
+            assert np.array_equal(parts.moments(s)[j], whole.moments(s)[j])
+            assert np.array_equal(parts.estimates(j, r), whole.estimates(j, r))
+
+    @given(
+        _engine_cases(),
+        st.sampled_from(["random", "constant rows", "constant labels"]),
+        st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_level_bound_never_hides_a_hit(self, case, shape, slack):
+        # a level is skipped when its bound cannot clear threshold + slack;
+        # then no estimate of the level may pass the full test.  Constant
+        # rows make the bound tight at negative biases
+        batch, r, _, _ = case
+        xs, labels = batch.xs.copy(), batch.labels.copy()
+        if shape == "constant rows":
+            xs[:] = xs[0]
+            labels[:] = labels[0]
+        elif shape == "constant labels":
+            labels[:] = 1
+        engine = moments._Moments(moments._level_index(batch.n, min(3, batch.n)))
+        engine.add(xs, labels)
+        for j in range(1, engine.index.s + 1):
+            values, bound = engine.estimates(j, r), engine.bound(j, r)
+            assert np.abs(values).max() <= bound
+            threshold = bound - slack
+            if threshold > 0 and bound <= threshold + slack:
+                assert not np.any(np.abs(values) - slack > threshold)
+
+    @given(
+        _engine_cases(),
+        st.sampled_from(["random", "constant rows"]),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_covers_rows_not_yet_read(self, case, shape, unread):
+        # a scan passes a checkpoint unread when the bound with its unread
+        # rows cannot clear; every estimate after those rows, whatever they
+        # hold, must then lie within that bound.  Repeating the first row
+        # pushes every moment the same way, the worst case
+        batch, r, _, _ = case
+        rng = np.random.default_rng(unread)
+        rest = rng.choice(np.array([-1, 1], dtype=np.int8), size=(unread, batch.n + 1))
+        if shape == "constant rows":
+            rest[:] = np.append(batch.xs[0], batch.labels[0])
+        engine = moments._Moments(moments._level_index(batch.n, min(3, batch.n)))
+        engine.add(batch.xs, batch.labels)
+        bounds = [engine.bound(j, r, unread) for j in range(1, engine.index.s + 1)]
+        engine.add(rest[:, :-1], rest[:, -1])
+        for j, bound in enumerate(bounds, start=1):
+            assert np.abs(engine.estimates(j, r)).max() <= bound
+
     def test_default_blocks_with_ragged_tail(self, and2):
         # level 2 on 5 columns takes default blocks of 43 648 rows, so these
         # 71 510 rows end in a short block whose last word is partly padding
-        m = 3 * (sampling._CHUNK_ELEMS // 11) + 17
+        m = 3 * (moments._CHUNK_ELEMS // 11) + 17
         batch = Oracle(and2, 0.3, master_seed=8).draw_batch(m)
         rv = np.full(5, 0.3)
         for S, val in estimate_level_batch(batch, 2, 0.3).items():
@@ -430,9 +498,11 @@ class TestMomentEngine:
         # budget, so each block is one word of 64 rows and 100 rows take
         # two, each adding to every level's array
         batch = Oracle(Junta(40, (1, 4, 9), parity_core(3)), 0.3, master_seed=6).draw_batch(100)
-        _, moments = sampling._moment_tables(batch.xs, batch.labels, 4)
-        assert [len(level) for level in moments] == [math.comb(40, j) for j in range(5)]
-        assert all(level.dtype == np.int64 for level in moments)
+        engine = moments._Moments(moments._level_index(40, 4))
+        engine.add(batch.xs, batch.labels)
+        counted = engine.moments(4)
+        assert [len(level) for level in counted] == [math.comb(40, j) for j in range(5)]
+        assert all(level.dtype == np.int64 for level in counted)
         keys = [
             (j, i, T)
             for j in range(5)
@@ -442,16 +512,16 @@ class TestMomentEngine:
         for pick in np.random.default_rng(0).choice(len(keys), 300, replace=False):
             j, i, T = keys[pick]
             cols = np.prod(batch.xs[:, list(T)], axis=1, dtype=np.int64)
-            assert moments[j][i] == int((y * cols).sum()), T
+            assert counted[j][i] == int((y * cols).sum()), T
 
     @pytest.mark.parametrize("c", range(13))
     def test_lexicographic_ranks(self, c):
-        subsets = sampling._subsets(c, min(5, c))
+        subsets = moments._subsets(c, min(5, c))
         for j in range(min(5, c) + 1):
             combos = list(itertools.combinations(range(c), j))
             want = np.array(combos, dtype=np.intp).reshape(len(combos), j)
             assert np.array_equal(subsets[j], want)
-            rank = sampling._lex_rank(want, sampling._binomials(c, j))
+            rank = moments._lex_rank(want, moments._binomials(c, j))
             assert np.array_equal(rank, np.arange(len(combos)))
 
     def test_wide_level1_blocks_stay_within_budget(self):
