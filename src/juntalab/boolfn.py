@@ -93,9 +93,9 @@ class Junta:
 
     ``relevant`` is a strictly increasing tuple of 0-based ambient indices
     and ``core`` holds the 2**k values of the function on those variables.
-    The read-only arrays ``table`` and ``walsh`` are built from ``core`` on
-    first use and kept on the instance; equality, hashing, copies and pickles
-    see only the three fields.
+    The read-only arrays ``table`` (the int8 core the constructor checked)
+    and ``walsh`` (built on first use) are kept on the instance; equality,
+    hashing, copies and pickles see only the three fields.
     """
 
     n: int
@@ -114,28 +114,28 @@ class Junta:
             )
         if any(a >= b for a, b in zip(rel, rel[1:])):
             raise InvalidParamsError(f"relevant indices must be strictly increasing, got {rel}")
-        core = tuple(_check_signs(tuple(self.core), 1, "core entries").tolist())
-        if len(core) != 1 << len(rel):
+        table = _check_signs(tuple(self.core), 1, "core entries")
+        if table.size != 1 << len(rel):
             raise LengthMismatchError(
-                f"core must have 2**{len(rel)} = {1 << len(rel)} entries, got {len(core)}"
+                f"core must have 2**{len(rel)} = {1 << len(rel)} entries, got {table.size}"
             )
+        table.setflags(write=False)
         object.__setattr__(self, "relevant", rel)
-        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "core", tuple(table.tolist()))
+        object.__setattr__(self, "_table", table)
 
     def __reduce__(self):
-        # copies rebuild the arrays on first use rather than carry them
+        # copies rebuild the arrays from the three fields rather than carry them
         return (Junta, (self.n, self.relevant, self.core))
 
     @property
     def k(self) -> int:
         return len(self.relevant)
 
-    @cached_property
+    @property
     def table(self) -> np.ndarray:
-        """The core as a read-only int8 array, built once per junta."""
-        t = np.array(self.core, dtype=np.int8)
-        t.setflags(write=False)
-        return t
+        """The core as a read-only int8 array: the one the constructor checked."""
+        return self._table
 
     @cached_property
     def walsh(self) -> np.ndarray:
@@ -213,9 +213,9 @@ def random_junta(n: int, k: int, seed, require_nonconstant: bool = False) -> Jun
     rng = np.random.default_rng(seed)
     relevant = tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))
     while True:
-        core = tuple(int(v) for v in 2 * rng.integers(0, 2, size=1 << k) - 1)
+        core = (2 * rng.integers(0, 2, size=1 << k) - 1).tolist()
         if not require_nonconstant or len(set(core)) > 1:
-            return Junta(n, relevant, core)
+            return Junta(n, relevant, tuple(core))
 
 
 def relevant_variables_bruteforce(f: Junta) -> frozenset[int]:

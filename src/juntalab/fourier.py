@@ -91,6 +91,20 @@ def _subset_mask(f: Junta, S: Iterable[int]) -> int | None:
     return mask
 
 
+def _relevant_biases(f: Junta, r) -> tuple[np.ndarray, np.ndarray]:
+    """The biases of the k relevant coordinates and their sigmas.
+
+    A scalar is checked once and repeated k times; a vector goes through
+    as_bias_vector, then is indexed.  sig is sigma_vector's expression, so
+    every product with it keeps its bits."""
+    arr = np.asarray(r, dtype=np.float64)
+    if arr.ndim == 0:
+        rr = np.full(f.k, _check_bias(float(arr)))
+    else:
+        rr = as_bias_vector(arr, f.n)[list(f.relevant)]
+    return rr, np.sqrt((1.0 - rr) * (1.0 + rr))
+
+
 def biased_coefficient(f: Junta, S: Iterable[int], r) -> float:
     """Coefficient of chi_S under bias r: the entry of biased_spectrum at the
     mask of S, computed from the 2**(k - |S|) supersets of S alone.
@@ -104,12 +118,10 @@ def biased_coefficient(f: Junta, S: Iterable[int], r) -> float:
     and returns the spectrum's entry bit for bit.  Subsets not contained in
     the relevant set have coefficient exactly 0.
     """
-    rv = as_bias_vector(r, f.n)
+    rr, sig = _relevant_biases(f, r)
     mask = _subset_mask(f, S)
     if mask is None:
         return 0.0
-    rr = rv[list(f.relevant)]
-    sig = sigma_vector(rr)
     vals = _superset_walsh(f, mask) / (1 << f.k)
     # each fold is the spectrum's r-pass at the lowest free bit left; the
     # entries with that bit set are never read again, so they are dropped
@@ -133,8 +145,18 @@ def biased_coefficient_rational(f: Junta, S: Iterable[int], r: Fraction) -> Frac
     mask = _subset_mask(f, S)
     if mask is None:
         return Fraction(0)
-    sums = _superset_level_sums(f, mask)
-    return sum(w * r**t for t, w in enumerate(sums)) / (1 << f.k)
+    p, q = r.numerator, r.denominator
+    return Fraction(_rational_numerator(f, mask, p, q), q**f.k << f.k)
+
+
+def _rational_numerator(f: Junta, mask: int, p: int, q: int) -> int:
+    """q**k * 2**k * fhat(mask, p/q) / sigma_S as an integer: the sum of
+    w_t * p**t * q**(k - t) over the superset level sums w_t (t <= k)."""
+    acc, qt = 0, 1
+    for w in reversed(_superset_level_sums(f, mask)):
+        acc = acc * p + w * qt
+        qt *= q
+    return acc
 
 
 def _superset_walsh(f: Junta, mask: int) -> np.ndarray:
@@ -162,11 +184,9 @@ def biased_spectrum(f: Junta, r) -> np.ndarray:
     Walsh transform: one pass absorbs r_i into supersets, a second applies
     the sigma factors.
     """
-    rv = as_bias_vector(r, f.n)
+    rr, sig = _relevant_biases(f, r)
     k = f.k
     out = f.walsh / (1 << k)
-    rr = rv[list(f.relevant)]
-    sig = sigma_vector(rr)
     # in the (-1, 2, 2**b) view, [:, 1] are the masks with bit b set, [:, 0] without it
     for b in range(k):
         v = out.reshape(-1, 2, 1 << b)

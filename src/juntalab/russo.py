@@ -8,6 +8,10 @@ so level weights are exactly scaled derivatives.  Root sets collect the real
 parts of high-multiplicity roots of h = d/dr E_r[f]; staying away from them
 forces some low-level coefficient to be large, which is what makes
 threshold-based variable detection work.
+
+Multiplicities are exact: Yun's squarefree algorithm runs on primitive
+integer polynomials, with gcds from primitive remainder sequences and exact
+integer quotients.  Fractions appear only in the monic factors returned.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
 from .fourier import (
     DyadicPolynomial,
     _level_weight,
-    biased_coefficient_rational,
+    _rational_numerator,
     expectation_polynomial,
 )
 from .measure import _check_bias, sigma
@@ -97,76 +101,119 @@ def _russo_rhs(poly: DyadicPolynomial, s: int, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial algebra over the rationals
+# exact polynomial algebra on primitive integer coefficient lists
+#
+# A polynomial over Q is carried as the list of integer coefficients (low
+# order first, no trailing zeros, [] for zero) of a scalar multiple of it.
+# gcds and exact quotients are only defined up to such a scalar, so the
+# lists never hold a Fraction; monic factors are built only at output.
 
 
-def _monic(p: DyadicPolynomial) -> DyadicPolynomial:
-    if p.is_zero():
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    if not p:
         return p
-    lead = p.coeffs[-1]
-    return DyadicPolynomial(tuple(c / lead for c in p.coeffs))
+    g = math.gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
 
 
-def _poly_divmod(
-    a: DyadicPolynomial, b: DyadicPolynomial
-) -> tuple[DyadicPolynomial, DyadicPolynomial]:
-    """Exact long division: (quotient, remainder) with deg(remainder) < deg(b)."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db, lead = b.degree, b.coeffs[-1]
-    quo = [Fraction(0)] * max(a.degree - db + 1, 0)
-    while len(rem) - 1 >= db and rem:
-        q = rem[-1] / lead
-        shift = len(rem) - 1 - db
-        quo[shift] = q
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
+def _integer_primitive(p: DyadicPolynomial) -> list[int]:
+    """Primitive integer multiple of p: scale once by the lcm of its
+    denominators, then divide out the content."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
+
+
+def _monic_over_q(p: list[int]) -> DyadicPolynomial:
+    return DyadicPolynomial(tuple(Fraction(c, p[-1]) for c in p))
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [t * c for t, c in enumerate(p)][1:]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b (b nonzero):
+    each step scales the running remainder by lead(b) instead of dividing."""
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(rem) - 1 >= db:
+        top, shift = rem[-1], len(rem) - 1 - db
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= top * c
         while rem and rem[-1] == 0:
             rem.pop()
-    return DyadicPolynomial(tuple(quo)), DyadicPolynomial(tuple(rem))
+    return rem
 
 
-def _poly_divexact(a: DyadicPolynomial, b: DyadicPolynomial) -> DyadicPolynomial:
-    """Quotient when b divides a exactly."""
-    quo, rem = _poly_divmod(a, b)
-    if not rem.is_zero():
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two primitive polynomials: the primitive remainder
+    sequence (pseudo-remainder, then divide out the content)."""
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for primitive b dividing a over Q.  By Gauss's lemma the
+    quotient of an integer polynomial is then integral, so every step is an
+    exact integer division; any remainder raises InvalidParamsError."""
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quo = [0] * max(len(a) - db, 0)
+    for shift in reversed(range(len(quo))):
+        q, r = divmod(rem[shift + db], lead)
+        if r:
+            raise InvalidParamsError("exact polynomial division left a remainder")
+        quo[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+    if any(rem):
         raise InvalidParamsError("exact polynomial division left a remainder")
     return quo
 
 
 def poly_gcd(a: DyadicPolynomial, b: DyadicPolynomial) -> DyadicPolynomial:
-    """Monic gcd over the rationals (Euclid, exact)."""
-    while not b.is_zero():
-        a, b = b, _poly_divmod(a, b)[1]
-    return _monic(a)
-
-
-def _poly_sub(a: DyadicPolynomial, b: DyadicPolynomial) -> DyadicPolynomial:
-    width = max(len(a.coeffs), len(b.coeffs))
-    ca = list(a.coeffs) + [Fraction(0)] * (width - len(a.coeffs))
-    cb = list(b.coeffs) + [Fraction(0)] * (width - len(b.coeffs))
-    return DyadicPolynomial(tuple(x - y for x, y in zip(ca, cb)))
+    """Monic gcd over the rationals, exact: a primitive remainder sequence on
+    integer multiples of a and b, made monic at output.  The gcd of two
+    zero polynomials is the zero polynomial."""
+    return _monic_over_q(_gcd(_integer_primitive(a), _integer_primitive(b)))
 
 
 def squarefree_decomposition(p: DyadicPolynomial) -> list[tuple[int, DyadicPolynomial]]:
     """Yun's algorithm: p = c * prod q_m^m with the q_m monic, squarefree and
-    pairwise coprime.  Returns the (m, q_m) pairs with deg(q_m) >= 1."""
+    pairwise coprime.  Returns the (m, q_m) pairs with deg(q_m) >= 1.
+
+    The loop runs on a primitive integer multiple of p, with gcds from the
+    primitive remainder sequence and exact integer quotients; c and d stay
+    the same scalar multiple of their rational counterparts, so each gcd,
+    made monic, is the rational one.  Fractions appear only in the returned
+    factors."""
     if p.is_zero():
         raise InvalidParamsError("cannot decompose the zero polynomial")
-    p = _monic(p)
+    a = _integer_primitive(p)
     out: list[tuple[int, DyadicPolynomial]] = []
-    dp = poly_derivative(p, 1)
-    g = poly_gcd(p, dp)
-    c = _poly_divexact(p, g)
-    d = _poly_sub(_poly_divexact(dp, g), poly_derivative(c, 1))
+    da = _derivative(a)
+    g = _gcd(a, _primitive(da))
+    c = _divexact(a, g)
+    d = _sub(_divexact(da, g), _derivative(c))
     m = 1
-    while c.degree > 0:
-        q = poly_gcd(c, d)
-        if q.degree > 0:
-            out.append((m, q))
-        c = _poly_divexact(c, q)
-        d = _poly_sub(_poly_divexact(d, q), poly_derivative(c, 1))
+    while len(c) > 1:
+        q = _gcd(c, _primitive(d))
+        if len(q) > 1:
+            out.append((m, _monic_over_q(q)))
+        c = _divexact(c, q)
+        d = _sub(_divexact(d, q), _derivative(c))
         m += 1
     return out
 
@@ -176,13 +223,14 @@ def root_set(f: Junta, s: int) -> RootSet:
     at least s.
 
     Multiplicities come from the exact squarefree factor structure (Yun's
-    algorithm over the rationals), so only the root coordinates themselves
-    are numeric: np.roots finds them as companion-matrix eigenvalues of each
-    squarefree factor.  Only real parts in (-1 + CLUSTER_TOL, 1 - CLUSTER_TOL)
-    are reported, so a root at exactly -1 or 1, which comes back a rounding
-    error inside the interval, is never taken for a critical bias.  Nearby
-    real parts are reported once at the clustering tolerance; the
-    multiplicity shown is the largest in the cluster.
+    algorithm on primitive integer polynomials, see squarefree_decomposition),
+    so only the root coordinates themselves are numeric: np.roots finds them
+    as companion-matrix eigenvalues of each squarefree factor.  Only real
+    parts in (-1 + CLUSTER_TOL, 1 - CLUSTER_TOL) are reported, so a root at
+    exactly -1 or 1, which comes back a rounding error inside the interval,
+    is never taken for a critical bias.  Nearby real parts are reported once
+    at the clustering tolerance; the multiplicity shown is the largest in the
+    cluster.
     """
     if s < 1:
         raise InvalidParamsError(f"multiplicity bound must be >= 1, got {s}")
@@ -231,13 +279,18 @@ def theorem1_witness(f: Junta, s: int, biases: Sequence[float]) -> Witness:
     vals = [_check_bias(float(r)) for r in biases]
     if len(set(vals)) != len(vals):
         raise InvalidParamsError("biases must be pairwise distinct")
+    k = f.k
     for j, r in enumerate(vals):
-        rq = Fraction(r)
+        p, q = r.as_integer_ratio()
         for level in range(1, s + 1):
-            for S in combinations(f.relevant, level):
-                part = biased_coefficient_rational(f, S, rq)
-                if part != 0:
-                    return Witness(j, S, sigma(r) ** level * float(part))
+            for bits in combinations(range(k), level):
+                # the exact zero test runs on biased_coefficient_rational's
+                # integer numerator; only a hit builds the Fraction
+                num = _rational_numerator(f, sum(1 << b for b in bits), p, q)
+                if num:
+                    part = Fraction(num, q**k << k)
+                    return Witness(j, tuple(f.relevant[b] for b in bits),
+                                   sigma(r) ** level * float(part))
     raise NoWitnessError(
         f"no nonzero coefficient up to level {s} across {len(vals)} biases"
     )

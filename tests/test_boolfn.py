@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import hashlib
 import json
 import pickle
 from decimal import Decimal
@@ -209,6 +211,18 @@ class TestRandomJunta:
             f = random_junta(6, 2, seed, require_nonconstant=True)
             assert f.constant_value() is None
 
+    def test_golden_draws(self):
+        # every seed keeps its junta: digest of the (relevant, core) reprs
+        # as the tuple-of-int generator drew them
+        h = hashlib.sha256()
+        for k in range(8, 15):
+            for seed in range(3):
+                f = random_junta(k + 20, k, seed, require_nonconstant=True)
+                h.update(repr((f.relevant, f.core)).encode())
+        assert h.hexdigest() == (
+            "4643fc4733fff21d10d488cb86cb987f01a09eb3484a8e0316247ebc2737952a"
+        )
+
 
 class TestRelevantBruteforce:
     def test_examples(self, and2, par3):
@@ -277,6 +291,12 @@ class TestCachedArrays:
         assert par3.walsh.dtype == np.int64
         assert par3.walsh.tolist() == walsh_numerators(par3.core)
         assert par3.walsh is par3.walsh
+
+    def test_table_is_kept_and_not_a_field(self):
+        f = Junta(4, (1, 3), [1, -1, -1, 1])
+        assert f.table is f.table
+        assert f.table.tolist() == [1, -1, -1, 1]
+        assert "table" not in {fld.name for fld in dataclasses.fields(f)}
 
     def test_read_only(self, and2):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from juntalab import (
     DyadicPolynomial,
     InvalidParamsError,
     Junta,
+    LengthMismatchError,
     biased_coefficient,
     biased_coefficient_bruteforce,
     biased_coefficient_rational,
@@ -121,6 +122,40 @@ class TestBiasedSpectrum:
     def test_constant(self):
         spec = biased_spectrum(Junta(3, (), (-1,)), 0.4)
         assert spec.tolist() == [-1.0]
+
+
+class TestBiasInput:
+    # exception types as the engine raised them before its bias prelude was
+    # cut to the k relevant coordinates
+    CASES = [
+        (math.nan, DomainError),
+        (1.0, DomainError),
+        (-1.0, DomainError),
+        (F(1) - F(1, 2**60), DomainError),  # rounds to 1.0
+        (np.array(1.0), DomainError),
+        (np.zeros(3), LengthMismatchError),
+        ("abc", ValueError),
+    ]
+
+    @pytest.mark.parametrize("r, exc", CASES)
+    def test_rejections(self, and2, r, exc):
+        for S in ((0,), (1,)):  # inside and outside the relevant set
+            with pytest.raises(exc):
+                biased_coefficient(and2, S, r)
+        with pytest.raises(exc):
+            biased_spectrum(and2, r)
+
+    @pytest.mark.parametrize("r, same", [
+        (0, 0.0), (np.float64(0.3), 0.3), (np.array(0.3), 0.3), (np.array(-0.7), -0.7),
+    ])
+    def test_scalar_forms_agree_bit_for_bit(self, r, same):
+        f = random_junta(9, 6, 5)
+        want = biased_spectrum(f, same)
+        assert biased_spectrum(f, r).tobytes() == want.tobytes()
+        assert biased_spectrum(f, np.full(f.n, same)).tobytes() == want.tobytes()
+        for mask in (0, 1, 6, 63):
+            S = [f.relevant[b] for b in range(f.k) if mask >> b & 1]
+            assert biased_coefficient(f, S, r) == want[mask]
 
 
 @settings(max_examples=25, deadline=None)

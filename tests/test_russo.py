@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, polyroots
 
 from conftest import parity_core, random_suite
@@ -26,6 +28,7 @@ from juntalab import (
     squarefree_decomposition,
     theorem1_witness,
 )
+from juntalab import russo
 from juntalab.russo import CLUSTER_TOL, poly_gcd
 
 F = Fraction
@@ -111,6 +114,12 @@ class TestPolyAlgebra:
 
     def test_gcd_with_zero(self):
         assert poly_gcd(poly(0, 3), poly()) == poly(0, 1)
+        assert poly_gcd(poly(), poly()).is_zero()
+
+    def test_inexact_integer_division_raises(self):
+        # x^2 + 1 = (x + 2)(x - 2) + 5
+        with pytest.raises(InvalidParamsError):
+            russo._divexact([1, 0, 1], [2, 1])
 
     def test_squarefree_decomposition(self):
         h = poly(2, -3, 0, 1)  # (x-1)^2 (x+2)
@@ -147,6 +156,117 @@ class TestPolyAlgebra:
 def _monic_of(p):
     lead = p.coeffs[-1]
     return DyadicPolynomial(tuple(c / lead for c in p.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# reference algebra: Euclid and Yun on Fraction coefficients, independent of
+# the integer remainder sequences in juntalab.russo
+
+
+def ref_divmod(a, b):
+    rem = list(a.coeffs)
+    db, lead = b.degree, b.coeffs[-1]
+    quo = [F(0)] * max(a.degree - db + 1, 0)
+    while len(rem) - 1 >= db and rem:
+        q = rem[-1] / lead
+        shift = len(rem) - 1 - db
+        quo[shift] = q
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= q * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return DyadicPolynomial(tuple(quo)), DyadicPolynomial(tuple(rem))
+
+
+def ref_divexact(a, b):
+    quo, rem = ref_divmod(a, b)
+    assert rem.is_zero()
+    return quo
+
+
+def ref_sub(a, b):
+    width = max(len(a.coeffs), len(b.coeffs))
+    ca = list(a.coeffs) + [F(0)] * (width - len(a.coeffs))
+    cb = list(b.coeffs) + [F(0)] * (width - len(b.coeffs))
+    return DyadicPolynomial(tuple(x - y for x, y in zip(ca, cb)))
+
+
+def ref_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+    return _monic_of(a)
+
+
+def ref_squarefree(p):
+    p = _monic_of(p)
+    out = []
+    dp = poly_derivative(p, 1)
+    g = ref_gcd(p, dp)
+    c = ref_divexact(p, g)
+    d = ref_sub(ref_divexact(dp, g), poly_derivative(c, 1))
+    m = 1
+    while c.degree > 0:
+        q = ref_gcd(c, d)
+        if q.degree > 0:
+            out.append((m, q))
+        c = ref_divexact(c, q)
+        d = ref_sub(ref_divexact(d, q), poly_derivative(c, 1))
+        m += 1
+    return out
+
+
+# rationals with dyadic and non-dyadic denominators, signs included
+RATIONALS = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 7, 8, 21]))
+NONZERO = RATIONALS.filter(lambda c: c != 0)
+LINEAR = st.tuples(RATIONALS, NONZERO)
+QUADRATIC = st.tuples(RATIONALS, RATIONALS, NONZERO)
+FACTORS = st.lists(
+    st.tuples(st.one_of(LINEAR, QUADRATIC), st.integers(1, 4)), min_size=0, max_size=3
+)
+
+
+def product(const, factors):
+    h = poly(const)
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            h = poly_mul(h, poly(*coeffs))
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(const=NONZERO, factors=FACTORS, other=FACTORS)
+@example(const=F(-3, 7), factors=[((F(1, 3), F(-1)), 4), ((F(1), F(0), F(1, 7)), 2)],
+         other=[((F(1, 3), F(-1)), 1)])
+@example(const=F(5), factors=[], other=[])
+def test_integer_algebra_matches_the_fraction_reference(const, factors, other):
+    h = product(const, factors)
+    assert squarefree_decomposition(h) == ref_squarefree(h)
+    g = product(F(-2, 3), factors[:1] + other)
+    assert poly_gcd(h, g) == ref_gcd(h, g)
+    assert poly_gcd(g, h) == ref_gcd(g, h)
+    assert poly_gcd(h, poly()) == poly_gcd(poly(), h) == _monic_of(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(k=3, seed=0)
+def test_root_set_matches_the_fraction_reference(k, seed):
+    f = random_junta(k + 3, k, seed, require_nonconstant=True)
+    want = {}
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(russo, "squarefree_decomposition", ref_squarefree)
+        for s in (1, 2):
+            try:
+                want[s] = root_set(f, s)
+            except ConstantFunctionError:
+                want[s] = None
+    for s in (1, 2):
+        try:
+            got = root_set(f, s)
+        except ConstantFunctionError:
+            got = None
+        assert repr(got) == repr(want[s])
+
 
 
 class TestRootSet:
