@@ -70,12 +70,10 @@ __all__ = [
     "learn_junta",
 ]
 
-_CHUNK_CAP = 65536
 # rows at a scan's first checkpoint; checkpoint j holds 512 * 2^j rows
 _FIRST_CHECKPOINT = 512
-# a scan asks an oracle for at most this many entries at a time, so a late
-# checkpoint never holds its whole batch
-_SCAN_PIECE_ELEMS = 1 << 22
+# an oracle call asks for at most this many entries, whatever n (_call_rows)
+_CALL_ELEMS = 1 << 22
 
 
 class LearnStatus(str, Enum):
@@ -193,9 +191,8 @@ def check_constant(oracles: Sequence, params: LearnerParams, V: Sequence[int] = 
     rows, ups = np.zeros((2, 1 << len(V)), dtype=np.int64)
     spent = 0
     while (low := int(rows.min())) < m:
-        chunk = _chunk_size(m - low, low, spent, len(V), cap)
-        batch = oracles[0].draw_batch(chunk)
-        spent += chunk
+        batch = _raw_chunk(oracles[0], m - low, low, spent, len(V), cap)
+        spent += batch.m
         pattern = _sign_pattern(batch.xs, V)
         rows += np.bincount(pattern, minlength=rows.size)
         ups += np.bincount(pattern[batch.labels > 0], minlength=rows.size)
@@ -217,25 +214,31 @@ def default_attempt_budget(alpha: float, rho_size: int, m: int, k: int, delta: f
     return math.ceil((2.0 / alpha) ** rho_size * math.log(arg)) * 4
 
 
-def _chunk_size(need: int, have: int, spent: int, fixed: int, cap: int) -> int:
-    """Raw draws for the next rejection chunk: the rows still needed over the
-    acceptance rate so far, (have + 1) / (spent + 2^fixed), which is 2^-fixed
-    before the first draw.  Raises BudgetExhaustedError at the raw cap."""
+def _call_rows(n: int) -> int:
+    """Rows per oracle call at width n: _CALL_ELEMS entries, or one wider row."""
+    return max(1, _CALL_ELEMS // n)
+
+
+def _raw_chunk(oracle, need: int, have: int, spent: int, fixed: int, cap: int) -> ExampleBatch:
+    """The oracle's next chunk of raw draws: the rows still needed over the acceptance
+    rate so far, (have + 1) / (spent + 2^fixed), 2^-fixed before the first draw, at
+    most _call_rows(n).  Raises BudgetExhaustedError at the raw cap."""
     if spent >= cap:
         raise BudgetExhaustedError(f"{have}/{have + need} rows after {spent} raw draws")
-    return min(math.ceil(need * (spent + (1 << fixed)) / (have + 1)), _CHUNK_CAP, cap - spent)
+    rows = math.ceil(need * (spent + (1 << fixed)) / (have + 1))
+    return oracle.draw_batch(min(rows, _call_rows(oracle.n), cap - spent))
 
 
 class RestrictedOracle:
     """Oracle view of the target restricted by rho, via chunked rejection.
 
     The accepted stream is exactly the subsequence of raw draws matching rho,
-    whatever the chunk sizes: a call keeps the rows it accepted past its
-    size and serves them first on the next call, as an Oracle keeps the rest
-    of its last block, so split draws give the rows of one draw.  Every raw
-    draw is counted at the base oracle.  A draw_batch(m) call may spend at
-    most m * b raw attempts where b is the per-draw budget formula above;
-    with an empty rho it draws exactly m rows.
+    whatever the chunk sizes: a call keeps the rows it accepted past its size
+    and serves them first on the next call, as an Oracle keeps the rest of its
+    last block, so split draws give the rows of one draw.  A raw chunk holds
+    at most _CALL_ELEMS entries whatever n and |rho|, and every raw draw is
+    counted at the base oracle.  A draw_batch(m) call spends at most m * b raw
+    attempts, b the per-draw budget above; with an empty rho it draws m rows.
     """
 
     def __init__(self, inner, rho: Mapping[int, int], params: LearnerParams):
@@ -243,9 +246,8 @@ class RestrictedOracle:
         values = _check_signs(list(rho.values()), 1, "restriction values").tolist()
         self.rho = dict(zip(_as_indices(rho, inner.n, "restricted index"), values))
         self._params = params
-        idx = sorted(self.rho)
-        self._idx = np.array(idx, dtype=np.int64)
-        self._vals = np.array([self.rho[i] for i in idx], dtype=np.int8)
+        self._idx = np.array(list(self.rho), dtype=np.int64)
+        self._vals = np.array(list(self.rho.values()), dtype=np.int8)
         self._tail = ExampleBatch(np.empty((0, inner.n), dtype=np.int8), np.empty(0, np.int8))
 
     @property
@@ -271,9 +273,8 @@ class RestrictedOracle:
         cap = need * default_attempt_budget(p.alpha, len(self.rho), need, p.k, p.delta)
         spent = have = 0
         while have < need:
-            chunk = _chunk_size(need - have, have, spent, len(self.rho), cap)
-            batch = self.inner.draw_batch(chunk)
-            spent += chunk
+            batch = _raw_chunk(self.inner, need - have, have, spent, len(self.rho), cap)
+            spent += batch.m
             keep = np.all(batch.xs[:, self._idx] == self._vals, axis=1)
             xs.append(batch.xs[keep])
             labels.append(batch.labels[keep])
@@ -335,11 +336,10 @@ def _bias_slack(s: int, eps: float, r: float) -> list[float]:
 
 
 def _read_prefix(scan: _Moments, oracle, m: int) -> None:
-    """Add the oracle's next rows to scan until it holds m rows, asking for
-    at most _SCAN_PIECE_ELEMS entries at a time."""
-    piece = max(1, _SCAN_PIECE_ELEMS // oracle.n)
+    """Add the oracle's next rows to scan until it holds m rows, _call_rows(n)
+    at most per call, so a late checkpoint never holds its whole batch."""
     while scan.m < m:
-        batch = oracle.draw_batch(min(m - scan.m, piece))
+        batch = oracle.draw_batch(min(m - scan.m, _call_rows(oracle.n)))
         scan.add(batch.xs, batch.labels)
 
 

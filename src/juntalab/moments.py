@@ -57,24 +57,6 @@ def _lex_rank(T: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _subsets(c: int, s: int) -> list[np.ndarray]:
-    """The j-subsets of range(c) for j = 0..s, one (C(c, j), j) array per
-    level in lexicographic order.
-
-    The j-subsets with least element f are f joined to the (j-1)-subsets of
-    {f+1, ..., c-1}, which are the last C(c-f-1, j-1) rows of level j-1.
-    """
-    binom = _binomials(c, s)
-    levels = [np.zeros((1, 0), dtype=np.intp)]
-    for j in range(1, s + 1):
-        runs = binom[c - 1 :: -1, j - 1]  # C(c-f-1, j-1) for f = 0..c-1
-        lead = np.repeat(np.arange(c), runs)
-        first = np.cumsum(runs) - runs  # the run of f starts at first[f]
-        tail = np.arange(len(lead)) + np.repeat(len(levels[-1]) - runs - first, runs)
-        levels.append(np.column_stack([lead, levels[-1][tail]]))
-    return levels
-
-
 def _packed(xs: np.ndarray, labels: np.ndarray, words: int) -> tuple:
     """A block of rows, rows <= 64 * words, as 64-bit words: a (words, c)
     array for the c columns of xs and a (words, 1) array for the labels.
@@ -121,19 +103,30 @@ class _LevelIndex:
     """The engine's index structures for the subsets of c columns with
     |T| <= s, built once and shared by every batch counted against them.
 
-    Level j holds the j-subsets in lexicographic order (_subsets); each
-    j-subset's lead column and the lexicographic rank of its tail among the
-    (j-1)-subsets, which the popcount pass gathers; and, per mask of a
-    level's positions, the rank of the subset the mask selects, which the
-    combine gathers.  The combine ranks of a level are built when the
-    level is first combined, and kept unless they pass _KEPT_RANK_ENTRIES.
+    Level j holds the j-subsets in lexicographic order, one (C(c, j), j)
+    array built from level j - 1: the j-subsets with least element f are f
+    joined to the (j-1)-subsets of {f+1, ..., c-1}, the last C(c-f-1, j-1)
+    rows of level j-1.  That one construction gives each j-subset's lead
+    column and its tail's row in level j-1, the tail's lexicographic rank;
+    the popcount pass gathers by both.  Per mask of a level's positions,
+    the rank of the subset the mask selects is what the combine gathers; a
+    level's combine ranks are built when it is first combined, and kept
+    unless they pass _KEPT_RANK_ENTRIES.
     """
 
     def __init__(self, c: int, s: int):
         self.s = s
-        self.subsets, self.binom = _subsets(c, s), _binomials(c, s)
-        self.lead = [T[:, 0] for T in self.subsets[1:]]
-        self.tail = [_lex_rank(T[:, 1:], self.binom) for T in self.subsets[1:]]
+        self.binom = _binomials(c, s)
+        self.subsets = [np.zeros((1, 0), dtype=np.intp)]
+        self.lead, self.tail = [], []
+        for j in range(1, s + 1):
+            runs = self.binom[c - 1 :: -1, j - 1]  # C(c-f-1, j-1) for f = 0..c-1
+            first = np.cumsum(runs) - runs  # the run of f starts at first[f]
+            lead = np.repeat(np.arange(c), runs)
+            tail = np.arange(len(lead)) + np.repeat(len(self.subsets[-1]) - runs - first, runs)
+            self.subsets.append(np.column_stack([lead, self.subsets[-1][tail]]))
+            self.lead.append(self.subsets[-1][:, 0])
+            self.tail.append(tail)
         sizes = [len(T) for T in self.subsets]
         # bytes alive per 64 rows: a flag per entry while packing, then the
         # packed columns with level j-1's vectors and level j's (a gather,

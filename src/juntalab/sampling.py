@@ -5,10 +5,14 @@ sizes come from Hoeffding bounds on the standardized characters, whose range
 grows like (2 / sigma)^|S|, hence the (2^|S| / (epsilon * sigma^|S|))^2
 factor in the calibration.
 
-Every coefficient estimate comes from the exact moment engine in
-juntalab.moments, so a batch scan, a per-subset call and a scan that reads
-its stream in growing prefixes produce bit-identical values on the same
-rows, and a replayed example stream reproduces a run decision for decision.
+A per-subset estimate_coefficient call and the learner's scan, which reads
+whole levels, both take their values from the exact moment engine in
+juntalab.moments, so they give bit-identical values on the same rows however
+the rows are split, and a replayed example stream reproduces a run decision
+for decision.  An oracle serves a call of any size as one batch: the
+learner's constancy chunks, rejection chunks and scan reads each ask for at
+most 2^22 entries, while the bias phase (_clamped_bias_estimate) draws its
+whole sample in one call.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "estimate_bias",
     "estimate_coefficient",
     "estimate_coefficient_unknown_bias",
-    "estimate_level_batch",
     "hoeffding_sample_size",
     "load_examples_csv",
     "unknown_bias_accuracy",
@@ -282,31 +285,6 @@ def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> flo
     return float(moments.estimates(len(S), float(r))[0])
 
 
-def estimate_level_batch(
-    batch: ExampleBatch, s_max: int, r: float
-) -> dict[tuple[int, ...], float]:
-    """Estimates for every subset of size 1..s_max, reusing one example block.
-
-    Keys run by size, then in lexicographic order.  The moments of all
-    subsets come from one pass of exact popcounts, and each entry is
-    combined by the same arithmetic as a per-subset estimate_coefficient
-    call, so the two paths agree bit for bit.
-    """
-    _check_signs(batch.xs, 2, "example entries")
-    _check_signs(batch.labels, 1, "labels")
-    if batch.m == 0:
-        raise EmptySampleError("coefficient estimation needs at least one example")
-    if s_max < 1:
-        raise InvalidParamsError(f"s_max must be >= 1, got {s_max}")
-    moments = _Moments(_level_index(batch.n, min(s_max, batch.n)))
-    moments.add(batch.xs, batch.labels)
-    out = {}
-    for j in range(1, moments.index.s + 1):
-        S, values = moments.index.subsets[j], moments.estimates(j, float(r))
-        out.update(zip(map(tuple, S.tolist()), values.tolist()))
-    return out
-
-
 def estimate_bias(batch: ExampleBatch) -> float:
     """Pooled mean of every coordinate of every example.
 
@@ -330,20 +308,26 @@ def unknown_bias_accuracy(alpha: float, card_s: int) -> float:
     return alpha ** ((card_s + 1) / 2.0) / (2.0 * (card_s + 1))
 
 
+def _bias_rows(alpha: float, card_s: int, delta: float) -> int:
+    """The bias phase's sample size, the one count that both its draw and its
+    error bound read: bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)."""
+    return bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
+
+
 def _clamped_bias_estimate(oracle, alpha: float, card_s: int, delta: float) -> float:
-    """The oracle's bias, estimated from bias_sample_size(unknown_bias_accuracy(
-    alpha, card_s), delta) unlabeled draws and clamped into [-(1-alpha), 1-alpha]."""
-    m = bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
-    est = estimate_bias(oracle.draw_batch(m))
+    """The oracle's bias, estimated from _bias_rows(alpha, card_s, delta)
+    unlabeled draws and clamped into [-(1-alpha), 1-alpha]."""
+    est = estimate_bias(oracle.draw_batch(_bias_rows(alpha, card_s, delta)))
     return min(max(est, -(1.0 - alpha)), 1.0 - alpha)
 
 
 def _bias_error(alpha: float, card_s: int, delta: float, n: int) -> float:
     """Accuracy, at confidence 1 - delta, of _clamped_bias_estimate's bias at
     the same (alpha, card_s, delta) on n columns: the Hoeffding radius
-    sqrt(2 ln(2/delta) / (m n)) of the mean of the m * n pooled entries.
-    The clamp only moves an estimate toward a bias that keeps the promise."""
-    m = bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
+    sqrt(2 ln(2/delta) / (m n)) of the mean of the m * n pooled entries of
+    its m = _bias_rows(alpha, card_s, delta) rows.  The clamp only moves an
+    estimate toward a bias that keeps the promise."""
+    m = _bias_rows(alpha, card_s, delta)
     return math.sqrt(2.0 * math.log(2.0 / delta) / (m * n))
 
 

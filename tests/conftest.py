@@ -4,7 +4,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from juntalab import Junta, random_junta
+from juntalab import Junta, moments, random_junta
 
 # filled in by the release-gate tests; echoed after the run so the verdict
 # survives pytest's output capture
@@ -32,7 +32,7 @@ def parity_core(k):
 def fsum_coefficient(batch, S: Sequence[int], rv: np.ndarray) -> float:
     """Reference estimate (1/m) sum_t label_t * chi_S(x_t, r): one exactly
     rounded sum over the examples per subset, independent of the moment
-    engine in juntalab.sampling."""
+    engine in juntalab.moments."""
     terms = batch.labels.astype(np.float64)
     scale = 1.0
     for i in S:
@@ -42,6 +42,18 @@ def fsum_coefficient(batch, S: Sequence[int], rv: np.ndarray) -> float:
         terms = terms / scale
     # exactly rounded sum in example order; replays agree bit for bit
     return math.fsum(terms.tolist()) / batch.m
+
+
+def engine_levels(batch, s: int, r: float) -> dict:
+    """The moment engine's estimates for every subset of size 1..s of the
+    batch's columns, keyed by subset in the scan's order: by size, then
+    lexicographic."""
+    engine = moments._Moments(moments._level_index(batch.n, s))
+    engine.add(batch.xs, batch.labels)
+    return {
+        tuple(S): value for j in range(1, s + 1)
+        for S, value in zip(engine.index.subsets[j].tolist(), engine.estimates(j, r).tolist())
+    }
 
 
 def majority_core(k):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import fsum_coefficient, parity_core
+from conftest import engine_levels, fsum_coefficient, parity_core
 from juntalab import (
     BudgetExhaustedError,
     ExampleBatch,
@@ -28,10 +30,10 @@ from juntalab import (
     hoeffding_sample_size,
     learn_junta,
     assignments,
-    estimate_level_batch,
     random_junta,
     sigma,
 )
+from juntalab import learner
 from juntalab.learner import _bias_slack
 
 
@@ -236,26 +238,34 @@ class TestRestrictedOracle:
 
     def test_is_exact_subsequence_of_raw_stream(self, and2):
         p = params_for(2, 1, 0.5)
-        inner = Oracle(and2, 0.3, master_seed=5)
-        view = RestrictedOracle(inner, {0: -1, 3: 1}, p)
-        got = view.draw_batch(150)
-        spent = inner.draws
+        # the default call budget, then one that caps every raw chunk at 5 rows
+        for budget in (learner._CALL_ELEMS, 5 * and2.n):
+            inner = Oracle(and2, 0.3, master_seed=5)
+            view = RestrictedOracle(inner, {0: -1, 3: 1}, p)
+            with mock.patch.object(learner, "_CALL_ELEMS", budget), \
+                    mock.patch.object(inner, "draw_batch", wraps=inner.draw_batch) as raw_calls:
+                got = view.draw_batch(150)
+            assert max(call.args[0] for call in raw_calls.call_args_list) <= budget // and2.n
+            spent = inner.draws
 
-        twin = Oracle(and2, 0.3, master_seed=5)
-        raw = twin.draw_batch(spent)
-        keep = (raw.xs[:, 0] == -1) & (raw.xs[:, 3] == 1)
-        assert np.array_equal(got.xs, raw.xs[keep][:150])
-        assert np.array_equal(got.labels, raw.labels[keep][:150])
+            twin = Oracle(and2, 0.3, master_seed=5)
+            raw = twin.draw_batch(spent)
+            keep = (raw.xs[:, 0] == -1) & (raw.xs[:, 3] == 1)
+            assert np.array_equal(got.xs, raw.xs[keep][:150])
+            assert np.array_equal(got.labels, raw.labels[keep][:150])
 
     def test_split_draws_equal_one_draw(self, and2):
-        # rows accepted past one call's size are served first by the next
+        # rows accepted past one call's size are served first by the next,
+        # whether or not the call budget caps the raw chunks
         p = params_for(2, 1, 0.5)
         whole = RestrictedOracle(Oracle(and2, 0.3, master_seed=5), {0: -1, 3: 1}, p)
         want = whole.draw_batch(300)
-        split = RestrictedOracle(Oracle(and2, 0.3, master_seed=5), {0: -1, 3: 1}, p)
-        parts = [split.draw_batch(size) for size in (7, 50, 1, 0, 150, 92)]
-        assert np.array_equal(np.concatenate([b.xs for b in parts]), want.xs)
-        assert np.array_equal(np.concatenate([b.labels for b in parts]), want.labels)
+        for budget in (learner._CALL_ELEMS, 5 * and2.n):
+            split = RestrictedOracle(Oracle(and2, 0.3, master_seed=5), {0: -1, 3: 1}, p)
+            with mock.patch.object(learner, "_CALL_ELEMS", budget):
+                parts = [split.draw_batch(size) for size in (7, 50, 1, 0, 150, 92)]
+            assert np.array_equal(np.concatenate([b.xs for b in parts]), want.xs)
+            assert np.array_equal(np.concatenate([b.labels for b in parts]), want.labels)
 
     def test_draws_count_raw_attempts(self, and2):
         p = params_for(2, 1, 0.5)
@@ -306,6 +316,25 @@ class TestRestrictedOracle:
         assert rho == {1: 1} and all(type(v) is int for v in [*rho, *rho.values()])
         with pytest.raises(InvalidIndexError):
             RestrictedOracle(oracle, {bad: 1}, p)
+
+
+def test_passes_hold_a_bounded_batch_at_any_width():
+    # at n = 2 000 the first rejection chunk for 2 000 rows at |rho| = 4, and
+    # the first constancy chunk at |V| = 4, k = 5, come to tens of thousands
+    # of rows; each oracle call asks for at most _CALL_ELEMS entries, so a
+    # pass holds its accepted rows and about one call's batch
+    f = Junta(2000, (1, 4, 9), parity_core(3))
+    p = params_for(5, 1, 0.5)
+    view = RestrictedOracle(Oracle(f, 0.0, master_seed=1), {i: 1 for i in range(10, 14)}, p)
+    probe = Oracle(f, 0.0, master_seed=1)
+    for run in (lambda: view.draw_batch(2000), lambda: check_constant([probe], p, range(20, 24))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * learner._CALL_ELEMS, peak
 
 
 class TestFindOneRelevant:
@@ -441,7 +470,7 @@ class TestFindOneRelevant:
             want = None
             for j, r in enumerate(biases):
                 batch = Oracle(par3_wide, r, master_seed=seed, oracle_id=j).draw_batch(6_000)
-                hits = [S for S, v in estimate_level_batch(batch, 1, r).items() if abs(v) > 0.23]
+                hits = [S for S, v in engine_levels(batch, 1, r).items() if abs(v) > 0.23]
                 if hits:
                     want = (hits[0][0], j)
                     break
@@ -667,7 +696,7 @@ class TestLearnJunta:
         assert report.status is LearnStatus.EXACT_SUCCESS
         assert report.relevant == f.relevant
         assert report.table == f.core
-        want = {0: {0: 261192}, 1: {0: 266477, 1: 2218}, 2: {0: 270318, 1: 5637}}
+        want = {0: {0: 260813}, 1: {0: 266561, 1: 2218}, 2: {0: 269283, 1: 5637}}
         if seed in want:
             assert report.total_samples() == want[seed]
 

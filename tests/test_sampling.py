@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fsum_coefficient, parity_core, random_suite
+from conftest import engine_levels, fsum_coefficient, parity_core, random_suite
 from juntalab import moments, sampling
 from juntalab import (
     BudgetExhaustedError,
@@ -33,7 +33,6 @@ from juntalab import (
     estimate_bias,
     estimate_coefficient,
     estimate_coefficient_unknown_bias,
-    estimate_level_batch,
     hoeffding_sample_size,
     load_examples_csv,
     random_junta,
@@ -307,31 +306,6 @@ class TestEstimateCoefficient:
         assert abs(vals.mean() - true) <= 3 * sem + 1e-9
 
 
-class TestEstimateLevelBatch:
-    def test_entry_counts(self, par3_wide):
-        batch = Oracle(par3_wide, 0.2, master_seed=2).draw_batch(100)
-        assert len(estimate_level_batch(batch, 1, 0.2)) == 10
-        small = ExampleBatch(batch.xs[:, :5], batch.labels)
-        assert len(estimate_level_batch(small, 2, 0.2)) == 15
-
-    def test_bit_for_bit_with_single_calls(self, and2):
-        batch = Oracle(and2, -0.35, master_seed=13).draw_batch(333)
-        table = estimate_level_batch(batch, 2, -0.35)
-        for S, val in table.items():
-            assert val == estimate_coefficient(batch, S, -0.35)
-
-    def test_keys_in_scan_order(self):
-        batch = Oracle(Junta(5, (1, 3), (-1, 1, 1, -1)), 0.2, master_seed=4).draw_batch(50)
-        keys = list(estimate_level_batch(batch, 3, 0.2))
-        want = [S for size in (1, 2, 3) for S in itertools.combinations(range(5), size)]
-        assert keys == want
-
-    def test_smax_validated(self, and2):
-        batch = Oracle(and2, 0.0, master_seed=0).draw_batch(5)
-        with pytest.raises(InvalidParamsError):
-            estimate_level_batch(batch, 0, 0.0)
-
-
 @st.composite
 def _engine_cases(draw):
     n = draw(st.integers(1, 6))
@@ -355,7 +329,7 @@ class TestMomentEngine:
         rv = np.full(batch.n, r)
         with mock.patch.object(moments, "_CHUNK_ELEMS", chunk_elems):
             got = estimate_coefficient(batch, S, r)
-            table = estimate_level_batch(batch, 3, r)
+            table = engine_levels(batch, min(3, batch.n), r)
         assert abs(got - fsum_coefficient(batch, S, rv)) <= 1e-12
         for T, val in table.items():
             assert abs(val - fsum_coefficient(batch, T, rv)) <= 1e-12
@@ -429,13 +403,21 @@ class TestMomentEngine:
         for j, bound in enumerate(bounds, start=1):
             assert np.abs(engine.estimates(j, r)).max() <= bound
 
+    def test_bit_for_bit_with_single_calls(self, and2):
+        # every level estimate the scan reads is the per-subset call's value
+        batch = Oracle(and2, -0.35, master_seed=13).draw_batch(333)
+        table = engine_levels(batch, 2, -0.35)
+        assert len(table) == 15
+        for S, val in table.items():
+            assert val == estimate_coefficient(batch, S, -0.35)
+
     def test_default_blocks_with_ragged_tail(self, and2):
         # level 2 on 5 columns takes default blocks of 43 648 rows, so these
         # 71 510 rows end in a short block whose last word is partly padding
         m = 3 * (moments._CHUNK_ELEMS // 11) + 17
         batch = Oracle(and2, 0.3, master_seed=8).draw_batch(m)
         rv = np.full(5, 0.3)
-        for S, val in estimate_level_batch(batch, 2, 0.3).items():
+        for S, val in engine_levels(batch, 2, 0.3).items():
             assert abs(val - fsum_coefficient(batch, S, rv)) <= 1e-12
 
     def test_golden_bits(self):
@@ -447,7 +429,7 @@ class TestMomentEngine:
         u = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0,))).random((5000, 12))
         xs = np.where(u < (1 - 0.35) / 2, 1, -1).astype(np.int8)
         batch = ExampleBatch(xs, f.eval_batch(xs))
-        table = estimate_level_batch(batch, 3, -0.35)
+        table = engine_levels(batch, 3, -0.35)
         assert len(table) == 298
         digest = hashlib.sha256(",".join(v.hex() for v in table.values()).encode())
         assert digest.hexdigest() == (
@@ -469,7 +451,7 @@ class TestMomentEngine:
         tracemalloc.start()
         try:
             got = estimate_coefficient(batch, S, 0.3)
-            table = estimate_level_batch(narrow, 8, 0.3)
+            table = engine_levels(narrow, 8, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -487,7 +469,7 @@ class TestMomentEngine:
             batch = Oracle(f, 0.3, master_seed=5).draw_batch(size)
             tracemalloc.start()
             try:
-                estimate_level_batch(batch, s, 0.3)
+                engine_levels(batch, s, 0.3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -516,13 +498,18 @@ class TestMomentEngine:
 
     @pytest.mark.parametrize("c", range(13))
     def test_lexicographic_ranks(self, c):
-        subsets = moments._subsets(c, min(5, c))
+        index = moments._LevelIndex(c, min(5, c))
         for j in range(min(5, c) + 1):
             combos = list(itertools.combinations(range(c), j))
             want = np.array(combos, dtype=np.intp).reshape(len(combos), j)
-            assert np.array_equal(subsets[j], want)
+            assert np.array_equal(index.subsets[j], want)
             rank = moments._lex_rank(want, moments._binomials(c, j))
             assert np.array_equal(rank, np.arange(len(combos)))
+            if j:
+                # the tail ranks the popcount pass gathers by
+                tails = moments._lex_rank(want[:, 1:], index.binom)
+                assert np.array_equal(index.tail[j - 1], tails)
+                assert np.array_equal(index.lead[j - 1], want[:, 0])
 
     def test_wide_level1_blocks_stay_within_budget(self):
         # the level-1 top table is one row of c moments, so 4 000 columns
@@ -530,7 +517,7 @@ class TestMomentEngine:
         batch = Oracle(Junta(4000, (1, 4, 9), parity_core(3)), 0.3, master_seed=5).draw_batch(4000)
         tracemalloc.start()
         try:
-            estimate_level_batch(batch, 1, 0.3)
+            engine_levels(batch, 1, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,10 +536,9 @@ NOT_SIGN_BATCHES = {
     "estimate",
     [
         lambda b: estimate_coefficient(b, (0,), 0.0),
-        lambda b: estimate_level_batch(b, 2, 0.0),
         estimate_bias,
     ],
-    ids=["coefficient", "level_batch", "bias"],
+    ids=["coefficient", "bias"],
 )
 @pytest.mark.parametrize("batch", NOT_SIGN_BATCHES)
 def test_estimators_reject_entries_other_than_signs(estimate, batch):
@@ -622,6 +608,16 @@ class TestUnknownBias:
             estimate_coefficient_unknown_bias(oracle, (2,), 1.0, 0.1, 0.1)
         with pytest.raises(DomainError):
             estimate_coefficient_unknown_bias(oracle, (2,), 0.5, 0.0, 0.1)
+
+    def test_draw_and_error_bound_read_one_sample_size(self, par3_wide):
+        # eps is the Hoeffding radius of the rows the bias phase draws, so a
+        # change to that count must move both
+        with mock.patch.object(sampling, "_bias_rows", return_value=100):
+            oracle = Oracle(par3_wide, 0.1, master_seed=0)
+            sampling._clamped_bias_estimate(oracle, 0.5, 1, 0.1)
+            eps = sampling._bias_error(0.5, 1, 0.1, par3_wide.n)
+        assert oracle.draws == 100
+        assert eps == math.sqrt(2.0 * math.log(2.0 / 0.1) / (100 * par3_wide.n))
 
 
 class TestHoeffdingCalibration:
