@@ -25,7 +25,7 @@ import numpy as np
 # perfbench/tracing.py wraps walsh_numerators in this module, so it stays imported
 from .boolfn import Junta, assignments, walsh_numerators  # noqa: F401
 from .errors import DomainError, InvalidParamsError
-from .measure import _check_bias, as_bias_vector, sigma, sigma_vector
+from .measure import _check_bias, _real_array, as_bias_vector, sigma, sigma_vector
 
 __all__ = [
     "DyadicPolynomial",
@@ -94,10 +94,10 @@ def _subset_mask(f: Junta, S: Iterable[int]) -> int | None:
 def _relevant_biases(f: Junta, r) -> tuple[np.ndarray, np.ndarray]:
     """The biases of the k relevant coordinates and their sigmas.
 
-    A scalar is checked once and repeated k times; a vector goes through
-    as_bias_vector, then is indexed.  sig is sigma_vector's expression, so
+    Text and complex input raise DomainError.  A scalar is checked once and
+    repeated k times; a vector goes through as_bias_vector, then is indexed.  sig is sigma_vector's expression, so
     every product with it keeps its bits."""
-    arr = np.asarray(r, dtype=np.float64)
+    arr = _real_array(r)
     if arr.ndim == 0:
         rr = np.full(f.k, _check_bias(float(arr)))
     else:

@@ -2,18 +2,20 @@
 
 The learner grows a set V of confirmed relevant variables.  Each round one
 pass over one raw stream, at the oracle whose bias is nearest 0, checks
-every sign pattern of V for constancy; a non-constant pattern goes to the
-threshold scan, which returns one of its variables.  When every pattern is
-constant their labels are the truth table.
+every sign pattern of V for constancy, with rows enough for the k - |V|
+variables left; a non-constant pattern goes to the threshold scan, which
+returns one of its variables.  When every pattern is constant their labels
+are the truth table.
 
 The threshold scan is anytime.  It reads every oracle's stream in doubling
 prefixes, checkpoint j holding the first 512 * 2^j rows up to the oracle's
 cap, and runs checkpoint j at every oracle before checkpoint j + 1 at any.
 At each checkpoint it tests the coefficients of size up to s and stops at
-the first one whose estimate clears the threshold by its Hoeffding radius
-and, with estimated biases, by the bias error's bound beta: a certified
-hit.  A checkpoint at which a bound on every estimate shows that none can
-clear, whatever its new rows hold, is passed without reading them.  At its
+the first one whose estimate clears the threshold by the smaller of its
+Hoeffding and Bernstein radii and, with estimated biases, by the bias
+error's bound beta: a certified hit.  A checkpoint at which a bound on every
+estimate shows that none can clear, whatever its new rows hold, is passed
+without reading them.  At its
 cap an oracle falls back to the fixed-size rule (estimate above the
 threshold), so when the oracles share one cap the worst case is the
 fixed-size scan's decision on the same stream prefixes.  The moments of
@@ -169,24 +171,28 @@ def _step_params(params: LearnerParams) -> LearnerParams:
 
 
 @_sample_size
-def constancy_sample_size(params: LearnerParams) -> int:
-    """ceil((2/alpha)^k * ln(2/delta)) examples: enough that a non-constant
-    at-most-k-junta shows both labels with probability 1 - delta."""
-    return math.ceil((2.0 / params.alpha) ** params.k * math.log(2.0 / params.delta))
+def constancy_sample_size(params: LearnerParams, depth: int = 0) -> int:
+    """m_V = ceil((2/alpha)^(k - depth) * ln(2/delta)) examples at depth
+    |V| <= k: enough that a non-constant at-most-(k - |V|)-junta, as each
+    pattern's restriction is once V lies inside the relevant set, shows
+    both labels with probability 1 - delta."""
+    exponent = max(params.k - depth, 0)
+    return math.ceil((2.0 / params.alpha) ** exponent * math.log(2.0 / params.delta))
 
 
 def check_constant(oracles: Sequence, params: LearnerParams, V: Sequence[int] = ()):
     """Count one raw stream of the first oracle by sign pattern p of V, whose
     indices must be distinct and in [0, n) (bit b set means V[b] = +1).
-    Returns (table, None) once each pattern has m = constancy_sample_size
-    rows, all labelled table[p], or (None, p) at the first chunk where
-    pattern p (the lowest) shows both labels.  The raw cap is
-    m * default_attempt_budget(alpha, |V|, m, k, delta)."""
+    Returns (table, None) once each pattern has m_V = constancy_sample_size
+    (params, |V|) rows, all labelled table[p], or (None, p) at the first
+    chunk where pattern p (the lowest) shows both labels.  The raw cap is
+    m_V * default_attempt_budget(alpha, |V|, m_V, k, delta).  At |V| = k a
+    pattern gets ceil(ln(2/delta)) rows, a weak check of the promise."""
     params.validate(len(oracles), require_coverage=False)
     V = _as_indices(V, oracles[0].n, "pattern index")
     if len(set(V)) < len(V):
         raise InvalidParamsError(f"pattern indices must be distinct, got {tuple(V)}")
-    m = constancy_sample_size(params)
+    m = constancy_sample_size(params, len(V))
     cap = m * default_attempt_budget(params.alpha, len(V), m, params.k, params.delta)
     rows, ups = np.zeros((2, 1 << len(V)), dtype=np.int64)
     spent = 0
@@ -335,6 +341,24 @@ def _bias_slack(s: int, eps: float, r: float) -> list[float]:
     return [((1.0 + eps) ** level - 1.0) / sig**level for level in range(s + 1)]
 
 
+def _slack(s: int, eps: float, r: float):
+    """The slack rule at working bias r: rule(w, m) lists, for levels
+    l = 0..s, the smaller of the Hoeffding and the Bernstein radius of an
+    estimate from m rows, w = 2 ln(2/delta_j), plus beta_l, as in
+    find_one_relevant.  At r = 0 Bernstein is the larger, so the slack is
+    the Hoeffding radius bit for bit."""
+    sig = sigma(r)
+    B, var = (1.0 + abs(r)) / sig, 1.0 + 2.0 * abs(r) * eps / sig**2
+    terms = [(B**level, math.sqrt(var**level), beta)
+             for level, beta in enumerate(_bias_slack(s, eps, r))]
+
+    def at(width: float, m: int) -> list[float]:
+        radius, tail = math.sqrt(width / m), width / (3.0 * m)
+        return [min(b * radius, v * radius + (b + v) * tail) + beta for b, v, beta in terms]
+
+    return at
+
+
 def _read_prefix(scan: _Moments, oracle, m: int) -> None:
     """Add the oracle's next rows to scan until it holds m rows, _call_rows(n)
     at most per call, so a late checkpoint never holds its whole batch."""
@@ -376,19 +400,23 @@ def find_one_relevant(
     order, before checkpoint j + 1 runs at any; an oracle at its cap is
     done.  At a checkpoint the subsets are tested by level 1..s, then in
     lexicographic order; candidates avoid ``exclude``, whose indices must
-    lie in [0, n).  Below the cap S clears when
+    lie in [0, n).  Below the cap S of size l clears when
 
-        |est_S| - B^|S| * sqrt(2 ln(2 / delta_j) / m_j) - beta_|S| > threshold,
+        |est_S| - min(B^l sqrt(w / m_j),
+                      sqrt(V_l w / m_j) + (B^l + sqrt(V_l)) w / (3 m_j)) - beta_l > threshold,
 
-    with B = (1 + |r|) / sigma(r) the range of a character at the working
-    bias r and delta_j = delta_coeff / 2^(j + 1), so the checkpoints spend
-    delta_coeff between them: a certified coefficient above the threshold.
-    beta is 0 for known biases; for estimated ones it bounds what a subset
-    holding an irrelevant variable estimates (_bias_slack), with eps the
-    bias phase's Hoeffding accuracy.  Below the cap, a checkpoint whose
-    level bounds (_Moments.bound) show that no estimate can clear, however
-    its m_j - m_{j-1} new rows fall, passes without reading them; they are
-    read at the next checkpoint that can clear.  At its cap an oracle reads
+    the Hoeffding and the Bernstein radius of y * chi_S at the working bias
+    r: B^l, B = (1 + |r|) / sigma(r), bounds its range and V_l =
+    (1 + 2 |r| eps / sigma(r)^2)^l its second moment.  w = 2 ln(2 / delta_j)
+    with delta_j = delta_coeff / 2^(j + 1), so the checkpoints spend
+    delta_coeff between them, whichever radius each picks: a certified
+    coefficient above the threshold.  eps and beta are 0 for known biases;
+    for estimated ones eps is the bias phase's Hoeffding accuracy and beta
+    bounds what a subset holding an irrelevant variable estimates
+    (_bias_slack).  Below the cap, a checkpoint whose level bounds
+    (_Moments.bound) show that no estimate can clear, however its
+    m_j - m_{j-1} new rows fall, passes without reading them; they are read
+    at the next checkpoint that can clear.  At its cap an oracle reads
     all m_o rows and uses the fixed-size rule |est_S| > threshold, so when
     the oracles share one cap a scan that certifies nothing makes the
     fixed-size scan's decision on each oracle's first m_o rows.
@@ -418,23 +446,20 @@ def find_one_relevant(
     index = _level_index(n, min(params.s, n))
     levels = range(index.s + 1)
     scans = [_Moments(index) for _ in oracles]
-    # per oracle, B^l with B = (1 + |r|) / sigma(r), and beta_l
-    ranges = [[((1.0 + abs(r)) / sigma(r)) ** level for level in levels] for r in biases]
-    betas = [_bias_slack(index.s, eps, r) for r in biases]
+    slacks = [_slack(index.s, eps, r) for r in biases]
     # ln(2 / delta_coeff), summed in logs so that n^s cannot overflow
     log_coeff = math.log(2.0 * t / params.delta) + params.s * math.log(n)
     j = 0
     while any(scan.m < cap for scan, cap in zip(scans, caps)):
         width = 2.0 * (log_coeff + (j + 1) * math.log(2.0))
-        for scan, cap, oracle, r, B, beta in zip(scans, caps, oracles, biases, ranges, betas):
+        for scan, cap, oracle, r, rule in zip(scans, caps, oracles, biases, slacks):
             if scan.m == cap:
                 continue
             m = min(_FIRST_CHECKPOINT << j, cap)
             if m == cap:
                 slack = [0.0 for _ in levels]
             else:
-                radius = math.sqrt(width / m)
-                slack = [B[level] * radius + beta[level] for level in levels]
+                slack = rule(width, m)
                 unread = m - scan.m
                 if all(scan.bound(level, r, unread) <= threshold + slack[level]
                        for level in levels[1:]):
@@ -473,8 +498,9 @@ def learn_junta(oracles: Sequence, params: LearnerParams) -> LearnReport:
     Returns ExactSuccess with the sorted variable set and its table,
     ConstantFunction for a constant target, BudgetExhausted when a scan or a
     raw-draw cap ran out, and Inconsistent when some sign pattern of V still
-    shows both labels after k variables were found.  Sub-procedures
-    run at confidence delta / (k * 2^k).
+    shows both labels after k variables were found (a weak check of the
+    promise: check_constant reads few rows per pattern at |V| = k).
+    Sub-procedures run at confidence delta / (k * 2^k).
     """
     t0 = time.perf_counter()
     t = len(oracles)

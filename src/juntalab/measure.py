@@ -65,9 +65,21 @@ def _check_bias_vector(rv: np.ndarray) -> np.ndarray:
     return rv
 
 
+def _real_array(r) -> np.ndarray:
+    """r as a float64 array, or DomainError when it holds text or a complex
+    number, which numpy would parse ("0.5" as 0.5) or reject with a bare
+    error.  Range checks are left to the caller."""
+    arr = np.asarray(r)
+    if arr.dtype.kind in "USc" or arr.dtype.kind == "O" and any(
+        isinstance(v, (str, bytes, complex)) for v in arr.flat
+    ):
+        raise DomainError(f"a bias must be a real number, got {r!r}")
+    return arr.astype(np.float64, copy=False)
+
+
 def as_bias_vector(r, n: int) -> np.ndarray:
     """Coerce a scalar or length-n sequence into a validated bias vector."""
-    arr = np.asarray(r, dtype=np.float64)
+    arr = _real_array(r)
     if arr.ndim == 0:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):

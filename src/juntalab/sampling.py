@@ -35,6 +35,7 @@ from .errors import (
 from .measure import (
     _CHUNK_ELEMS,
     _check_bias,
+    _real_array,
     as_bias_vector,
     block_rows,
     sample_batch,
@@ -360,7 +361,7 @@ def estimate_coefficient_unknown_bias(
 
 
 def _bias_at(r, i: int) -> float:
-    arr = np.asarray(r, dtype=np.float64)
+    arr = _real_array(r)
     return _check_bias(float(arr) if arr.ndim == 0 else float(arr[i]))
 
 

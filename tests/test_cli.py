@@ -221,11 +221,11 @@ LEARN_ARGS = [
 
 # (target, biases, the other learn flags, the oracles the run consults)
 DUMP_CASES = {
-    # AND2's level-1 coefficients at bias -0.3, 0.334, sit at the first
-    # checkpoint's certified margin; at seed 7 oracle 0 misses it there, so
-    # oracle 1 is consulted too
+    # AND2's level-1 coefficients are 0.334 at bias -0.3 and 0.62 at 0.3.
+    # The first checkpoint's radius is 0.21 at either bias, so at threshold
+    # 0.2 oracle 0 cannot certify there and oracle 1 can: both are consulted
     "and2_both_oracles": (
-        Junta(12, (3, 9), (-1, -1, -1, 1)), (-0.3, 0.3), LEARN_ARGS[1:], (0, 1),
+        Junta(12, (3, 9), (-1, -1, -1, 1)), (-0.3, 0.3), [*LEARN_ARGS[1:-1], "0.2"], (0, 1),
     ),
     # OR2's level-1 coefficients at bias -0.3 are 0.62, and the restricted
     # dictator's is 0.95: oracle 0 certifies at its first checkpoint in every

@@ -135,6 +135,12 @@ class TestBiasInput:
         (np.array(1.0), DomainError),
         (np.zeros(3), LengthMismatchError),
         ("abc", ValueError),
+        # text and complex input are not numbers, even where numpy parses them
+        ("0.5", DomainError),
+        (b"0.5", DomainError),
+        (0.5 + 0j, DomainError),
+        ([0.0, "0.5", 0.0, 0.0, 0.0], DomainError),
+        ([F(1, 2), "0.5", 0, 0, 0], DomainError),
     ]
 
     @pytest.mark.parametrize("r, exc", CASES)

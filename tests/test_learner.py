@@ -34,7 +34,8 @@ from juntalab import (
     sigma,
 )
 from juntalab import learner
-from juntalab.learner import _bias_slack
+from juntalab.fourier import biased_coefficient
+from juntalab.learner import _bias_slack, _slack
 
 
 def params_for(k, s, alpha, gamma=0.2, delta=0.1, **kw):
@@ -204,13 +205,36 @@ class TestConstancyPass:
 
     def test_starving_pattern_exhausts_the_raw_cap(self, and2):
         # x0 = x2 = -1 has probability 2.5e-5 at bias 0.99: one raw cap of
-        # draws holds far fewer than m rows of it
+        # draws holds far fewer than the m_V = 3 rows it needs at |V| = k
         p = params_for(2, 1, 0.5)
         oracle = Oracle(Junta(5, (0, 2), (-1, -1, -1, -1)), 0.99, master_seed=0)
         with pytest.raises(BudgetExhaustedError):
             check_constant([oracle], p, (0, 2))
-        m = constancy_sample_size(p)
+        m = constancy_sample_size(p, 2)
+        assert m == 3
         assert oracle.draws == m * default_attempt_budget(p.alpha, 2, m, p.k, p.delta)
+
+
+    def test_sample_size_by_depth(self):
+        # m_V = ceil((2 / alpha)^(k - |V|) ln(2 / delta)): 64, 16, 4 and 1
+        # times ln 20, and no fewer rows past k
+        p = params_for(3, 1, 0.5, delta=0.1)
+        assert [constancy_sample_size(p, depth) for depth in range(5)] == [192, 48, 12, 3, 3]
+        assert constancy_sample_size(p) == constancy_sample_size(p, 0)
+
+    def test_one_variable_left_is_found_mixed(self):
+        # AND3 with V = (0, 1), |V| = k - 1: pattern 3 (x0 = x1 = +1)
+        # restricts to the dictator x2, whose label +1 has probability
+        # alpha / 2 = 0.25 at bias -0.5, and every other pattern is -1.  The
+        # m_V = 12 rows of pattern 3 show both labels but with probability
+        # 0.75^12 + 0.25^12 = 0.032, within delta = 0.1
+        f = Junta(6, (0, 1, 2), (-1,) * 7 + (1,))
+        p = params_for(3, 1, 0.5, delta=0.1)
+        outcomes = [check_constant([Oracle(f, -0.5, master_seed=seed)], p, (0, 1))
+                    for seed in range(400)]
+        assert {bits for _, bits in outcomes} <= {3, None}
+        wrong = sum(table is not None for table, _ in outcomes)
+        assert wrong <= 0.1 * len(outcomes)
 
 
 class TestRestrictedDraw:
@@ -411,8 +435,7 @@ class TestFindOneRelevant:
         # coefficient inside {1, 4, 6} is 0.375 and every level-1 one is
         # 0.2165.  At threshold 0.3 no radius below the 4 000-row cap is
         # small enough, so the hit comes from the fixed-size rule at the
-        # cap; at threshold 0.1 a checkpoint below the 20 000-row cap
-        # certifies it
+        # cap; at threshold 0.1 the first checkpoint certifies it
         f = Junta(8, (1, 4, 6), parity_core(3))
         for threshold, cap, certified in [(0.3, 4_000, False), (0.1, 20_000, True)]:
             p = params_for(3, 2, 0.5, samples_per_coeff=cap, threshold=threshold)
@@ -432,13 +455,14 @@ class TestFindOneRelevant:
         """The anytime rule from fsum estimates on each checkpoint prefix:
         checkpoint j holds min(512 * 2^j, cap) rows, runs at every oracle in
         order before checkpoint j + 1, and tests levels 1..s, then
-        lexicographic order.  Returns the first subset that clears and the
-        rows each oracle read."""
+        lexicographic order, against the smaller of the Hoeffding and the
+        Bernstein radius (second moment 1 at a known bias).  Returns the
+        first subset that clears and the rows each oracle read."""
         t, n, cap = len(streams), streams[0].n, p.samples_per_coeff
         drawn = [0] * t
         for j in itertools.count():
             m = min(512 * 2**j, cap)
-            delta_j = p.delta / (t * n**p.s) / 2 ** (j + 1)
+            w = 2 * math.log(2 / (p.delta / (t * n**p.s) / 2 ** (j + 1)))
             for o, (stream, r) in enumerate(zip(streams, biases)):
                 if drawn[o] == cap:
                     continue
@@ -446,7 +470,9 @@ class TestFindOneRelevant:
                 batch = ExampleBatch(stream.xs[:m], stream.labels[:m])
                 B = (1 + abs(r)) / math.sqrt(1 - r * r)
                 for size in range(1, p.s + 1):
-                    slack = 0.0 if m == cap else B**size * math.sqrt(2 * math.log(2 / delta_j) / m)
+                    hoeffding = B**size * math.sqrt(w / m)
+                    bernstein = math.sqrt(w / m) + (B**size + 1) * w / (3 * m)
+                    slack = 0.0 if m == cap else min(hoeffding, bernstein)
                     for S in itertools.combinations(range(n), size):
                         value = fsum_coefficient(batch, S, np.full(n, r))
                         assert abs(abs(value) - slack - p.threshold) > 1e-9
@@ -560,6 +586,50 @@ def test_bias_slack_bounds_what_an_irrelevant_subset_estimates(n, S, irrelevant)
     assert worst > (0.99 if len(S) == 1 else 0.05)
 
 
+class TestSlack:
+    WIDTHS = [(17.1, 512), (40.3, 1_024), (60.0, 16_384), (25.0, 3)]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_bias_zero_keeps_the_hoeffding_radius_bit_for_bit(self, eps):
+        # the rule before the Bernstein radius: B^l sqrt(width / m) + beta_l
+        for s in (1, 2, 4):
+            beta = _bias_slack(s, eps, 0.0)
+            for width, m in self.WIDTHS:
+                want = [((1.0 + abs(0.0)) / sigma(0.0)) ** level * math.sqrt(width / m)
+                        + beta[level] for level in range(s + 1)]
+                assert _slack(s, eps, 0.0)(width, m) == want
+
+    def test_never_above_the_hoeffding_radius(self):
+        for r in np.linspace(-0.95, 0.95, 39):
+            B = (1.0 + abs(r)) / sigma(r)
+            for eps in (0.0, 0.006, 0.05, 0.15):
+                beta = _bias_slack(4, eps, r)
+                for width, m in self.WIDTHS:
+                    got = _slack(4, eps, r)(width, m)
+                    for level in range(5):
+                        assert got[level] <= B**level * math.sqrt(width / m) + beta[level]
+
+    @pytest.mark.parametrize("r", [-0.5, 0.5])
+    def test_bernstein_radius_covers_fresh_batches(self, r):
+        # at bias +-0.5 the slack is the Bernstein radius, well under
+        # Hoeffding's; over 2 000 fresh 128-row batches each coefficient of a
+        # 3-junta, and one outside it, is missed by more than it at most a
+        # delta fraction of the time
+        f = random_junta(6, 3, 4, require_nonconstant=True)
+        delta, m, batches = 0.1, 128, 2_000
+        width = 2 * math.log(2 / delta)
+        slack = _slack(3, 0.0, r)(width, m)
+        B = (1.0 + abs(r)) / sigma(r)
+        data = Oracle(f, r, master_seed=7).draw_batch(m * batches)
+        chis = (data.xs - r) / sigma(r)
+        subsets = [S for size in (1, 2, 3) for S in itertools.combinations(f.relevant, size)]
+        for S in subsets + [(f.relevant[0], next(i for i in range(6) if i not in f.relevant))]:
+            z = data.labels * np.prod(chis[:, list(S)], axis=1)
+            errors = np.abs(z.reshape(batches, m).mean(axis=1) - biased_coefficient(f, S, r))
+            assert slack[len(S)] < 0.8 * B ** len(S) * math.sqrt(width / m)
+            assert np.mean(errors > slack[len(S)]) <= delta, S
+
+
 class TestLearnJunta:
     def test_and2_exact(self, and2_50):
         p = params_for(2, 1, 0.7, samples_per_coeff=20_000, threshold=0.05)
@@ -631,11 +701,12 @@ class TestLearnJunta:
         # and its scan confirms variable 2; in round two the pattern x2 = +1,
         # where the target is x5, shows both labels and its scan confirms 5.
         # In round three the pattern x2 = x5 = -1 has rate 6e-6, far below
-        # what the raw cap allows, so the pass starves.  At sigma(0.995) no
-        # radius certifies, so both scans read to their 20 000-row caps.
-        # The round-two scan pays 21 550 raw draws: each checkpoint's first
-        # chunk assumes rate 1/2, and the rows it accepts past the
-        # checkpoint serve the next one.
+        # what the raw cap allows, so the pass starves.  Round one's scan
+        # certifies at its 16 384-row checkpoint.  At sigma(0.995) the
+        # dictator's coefficient is 0.0999, and no radius certifies it, so
+        # the round-two scan reads to its 20 000-row cap and pays 21 544 raw
+        # draws: each checkpoint's first chunk assumes rate 1/2, and the rows
+        # it accepts past the checkpoint serve the next one.
         f = Junta(8, (2, 5), (-1, -1, -1, 1))
         p = params_for(4, 4, 0.5, samples_per_coeff=20_000, threshold=0.05)
         report = learn_junta([Oracle(f, 0.995, master_seed=0)], p)
@@ -644,7 +715,7 @@ class TestLearnJunta:
         assert report.table is None
         unrestricted = constancy_sample_size(replace(p, delta=p.delta / (4 * 2**4)))
         assert report.samples["constancy"][0] > unrestricted
-        assert report.samples["coefficients"] == {0: 41_550}
+        assert report.samples["coefficients"] == {0: 16_384 + 21_544}
 
     @pytest.mark.parametrize("unknown", [False, True])
     def test_constancy_draws_from_the_bias_nearest_zero(self, par3_wide, unknown):
@@ -684,7 +755,8 @@ class TestLearnJunta:
     @pytest.mark.parametrize("seed", range(10))
     def test_two_oracles_learn_a_4_junta_at_level_2(self, seed):
         # t = 2 oracles and s = 2 cover k = 4, the paper's t < k regime; the
-        # draw counts pin every scan decision of the first three seeds
+        # draw counts pin every scan decision of seeds 0 to 2, where oracle 0
+        # certifies every round, and of seed 4, where oracle 1 is consulted
         f = random_junta(30, 4, seed, require_nonconstant=True)
         p = LearnerParams(
             k=4, s=2, alpha=0.5, gamma=0.5, delta=0.1, threshold=0.05, samples_per_coeff=50_000
@@ -696,7 +768,7 @@ class TestLearnJunta:
         assert report.status is LearnStatus.EXACT_SUCCESS
         assert report.relevant == f.relevant
         assert report.table == f.core
-        want = {0: {0: 260813}, 1: {0: 266561, 1: 2218}, 2: {0: 269283, 1: 5637}}
+        want = {0: {0: 15724}, 1: {0: 12400}, 2: {0: 11752}, 4: {0: 12400, 1: 1872}}
         if seed in want:
             assert report.total_samples() == want[seed]
 

@@ -49,6 +49,15 @@ def test_every_bias_check_rejects_values_outside_the_domain(check, r):
         BIAS_CHECKS[check](r)
 
 
+@pytest.mark.parametrize("r", ["0.5", b"0.5", "abc", 0.5 + 0j, np.complex128(0.5)])
+def test_bias_vector_rejects_text_and_complex(r):
+    for bias in (r, [0.0, r]):
+        with pytest.raises(DomainError):
+            as_bias_vector(bias, 2)
+    with pytest.raises(DomainError):
+        chi_cross_coefficient((0,), (), [0.0, r], 0.0)
+
+
 def test_rational_bias_is_compared_exactly():
     # this bias rounds to 1.0 as a float, but lies inside (-1, 1)
     r = 1 - Fraction(1, 2**60)
