@@ -296,11 +296,14 @@ class RestrictedOracle:
 
 def _working_biases(oracles: Sequence, params: LearnerParams, delta_bias: float) -> list[float]:
     """Per-oracle biases for estimation: declared in the known-bias model,
-    estimated from unlabeled draws (then clamped into the promised range)
-    otherwise."""
+    estimated otherwise from as many unlabeled draws as keep the scan's beta
+    at level s within a quarter of the threshold (_bias_rows), then clamped
+    into the promised range."""
     if not params.unknown_biases:
         return [float(o.bias) for o in oracles]
-    return [_clamped_bias_estimate(o, params.alpha, params.s, delta_bias) for o in oracles]
+    threshold = _threshold(params)
+    return [_clamped_bias_estimate(o, params.alpha, params.s, delta_bias, threshold)
+            for o in oracles]
 
 
 def _scan_caps(params: LearnerParams, n: int, biases: Sequence[float]) -> list[int]:
@@ -411,7 +414,8 @@ def find_one_relevant(
     with delta_j = delta_coeff / 2^(j + 1), so the checkpoints spend
     delta_coeff between them, whichever radius each picks: a certified
     coefficient above the threshold.  eps and beta are 0 for known biases;
-    for estimated ones eps is the bias phase's Hoeffding accuracy and beta
+    for estimated ones eps is the bias phase's Hoeffding accuracy, on rows
+    sized to hold beta_s to a quarter of the threshold (_bias_rows), and beta
     bounds what a subset holding an irrelevant variable estimates
     (_bias_slack).  Below the cap, a checkpoint whose level bounds
     (_Moments.bound) show that no estimate can clear, however its
@@ -442,7 +446,9 @@ def find_one_relevant(
         biases = _working_biases(oracles, params, delta_bias)
     caps = _scan_caps(params, n, biases)
     threshold = _threshold(params)
-    eps = _bias_error(params.alpha, params.s, delta_bias, n) if params.unknown_biases else 0.0
+    eps = 0.0
+    if params.unknown_biases:
+        eps = _bias_error(params.alpha, params.s, delta_bias, n, threshold)
     index = _level_index(n, min(params.s, n))
     levels = range(index.s + 1)
     scans = [_Moments(index) for _ in oracles]

@@ -11,10 +11,11 @@ p = (1 + r) / 2 and a = floor(256 p), each coordinate takes one raw byte b:
 b < a gives +1 and b > a gives -1.  Only a tie (b == a, one byte in 256)
 takes a uniform u, and gives +1 iff u < 256 p - a, a difference float64
 holds exactly.  The outcome is therefore exactly (b + u) / 256 < p, with no
-rounding of the bias.  Rows come in fixed blocks of block_rows(n) rows: the
-generator gives each block's bytes, then one uniform per tie in row-major
-order, so a stream cut at block boundaries reads the same however the cuts
-fall.
+rounding of the bias.  When 256 p is an integer a tie always gives -1, and
+its uniform is drawn only to keep the stream.  Rows come in fixed blocks of
+block_rows(n) rows: the generator gives each block's bytes, then one
+uniform per tie in row-major order, so a stream cut at block boundaries
+reads the same however the cuts fall.
 """
 
 from __future__ import annotations
@@ -124,10 +125,13 @@ def sample_batch(
     Per block the generator gives n * block_rows(n) raw bytes, one per entry
     in row-major order, then one uniform per tie in the same order; an entry
     is +1 when its byte b is below a = floor(256 p), -1 when above, and on a
-    tie +1 iff its uniform is below 256 p - a, with p = (1 + r) / 2.  The
-    rows of the last block past m are drawn and dropped, so consecutive calls
-    read one stream only while each call but the last draws whole blocks;
-    ``Oracle`` does so and serves the dropped rows through ``head``.
+    tie +1 iff its uniform is below 256 p - a, with p = (1 + r) / 2.  When
+    256 p is an integer (r = 0 or +-0.5, say) every tie gives -1: the block
+    still draws its ties' uniforms, so the stream is the same, but does not
+    read them.  The rows of the last block past m are drawn and dropped, so
+    consecutive calls read one stream only while each call but the last
+    draws whole blocks; ``Oracle`` does so and serves the dropped rows
+    through ``head``.
     """
     r = _check_bias(float(r))
     scaled = (1.0 + r) * 128.0  # 256 p, exact
@@ -142,12 +146,17 @@ def sample_batch(
     bits = rng.bit_generator
     for start in range(first, m, rows):
         b = bits.random_raw(rows * n // 8).astype("<u8", copy=False).view(np.uint8)
-        ties = np.flatnonzero(b == a)
-        won = rng.random(len(ties)) < frac
         block = out[start : start + rows].reshape(-1)
         np.less(b[: len(block)], a, out=block.view(bool))
-        kept = np.searchsorted(ties, len(block))
-        block[ties[:kept]] = won[:kept]
+        if frac:
+            ties = np.flatnonzero(b == a)
+            won = rng.random(len(ties)) < frac
+            kept = np.searchsorted(ties, len(block))
+            block[ties[:kept]] = won[:kept]
+        else:
+            # every tie gives -1, as np.less wrote; its uniforms are drawn
+            # and dropped only to keep the stream
+            rng.random(np.count_nonzero(b == a))
         block *= 2
         block -= 1
     return out

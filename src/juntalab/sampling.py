@@ -289,9 +289,11 @@ def estimate_coefficient(batch: ExampleBatch, S: Iterable[int], r: float) -> flo
 def estimate_bias(batch: ExampleBatch) -> float:
     """Pooled mean of every coordinate of every example.
 
-    All coordinates share one bias in the learning model, so pooling across
-    coordinates tightens the estimate by a factor sqrt(n) over the
-    single-coordinate calibration that sizes the sample.
+    All coordinates share one bias in the learning model, so the m * n
+    pooled entries give a Hoeffding radius sqrt(2 ln(2/delta) / (m n)), a
+    factor sqrt(n) under one coordinate's.  estimate_coefficient_unknown_bias
+    still sizes m by the single-coordinate calibration; the learner sizes it
+    by the pooled radius its scan can afford (_bias_rows).
     """
     if batch.m == 0 or batch.n == 0:
         raise EmptySampleError("bias estimation needs at least one example coordinate")
@@ -309,26 +311,54 @@ def unknown_bias_accuracy(alpha: float, card_s: int) -> float:
     return alpha ** ((card_s + 1) / 2.0) / (2.0 * (card_s + 1))
 
 
-def _bias_rows(alpha: float, card_s: int, delta: float) -> int:
+def _bias_rows(
+    alpha: float, card_s: int, delta: float, n: int, threshold: float | None = None
+) -> int:
     """The bias phase's sample size, the one count that both its draw and its
-    error bound read: bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)."""
-    return bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
+    error bound read.
+
+    Without a threshold it is the per-coordinate count
+    bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta).  With the
+    scan's threshold (card_s >= 1) it is the fewest rows whose pooled
+    radius on n columns, sqrt(2 ln(2/delta) / (m n)), is at most the eps
+    that makes _bias_slack's beta at level card_s, at the worst promised
+    bias |r| = 1 - alpha, a quarter of the threshold:
+    ((1 + eps)^card_s - 1) / sigma(1 - alpha)^card_s = threshold / 4.  That
+    count is clipped to [1, the per-coordinate count], which it also takes
+    when eps underflows.
+    """
+    rows = bias_sample_size(unknown_bias_accuracy(alpha, card_s), delta)
+    if threshold is None:
+        return rows
+    # sigma(1 - alpha)^card_s, with sigma(1 - alpha) = sqrt(alpha (2 - alpha))
+    sig_s = (alpha * (2.0 - alpha)) ** (card_s / 2.0)
+    eps = math.expm1(math.log1p(threshold * sig_s / 4.0) / card_s)
+    width = 2.0 * math.log(2.0 / delta) / n
+    if not eps * eps * rows > width:  # the clip binds, or eps is 0 or NaN
+        return rows
+    return max(1, math.ceil(width / (eps * eps)))
 
 
-def _clamped_bias_estimate(oracle, alpha: float, card_s: int, delta: float) -> float:
-    """The oracle's bias, estimated from _bias_rows(alpha, card_s, delta)
-    unlabeled draws and clamped into [-(1-alpha), 1-alpha]."""
-    est = estimate_bias(oracle.draw_batch(_bias_rows(alpha, card_s, delta)))
+def _clamped_bias_estimate(
+    oracle, alpha: float, card_s: int, delta: float, threshold: float | None = None
+) -> float:
+    """The oracle's bias, estimated from the pooled entries of
+    _bias_rows(alpha, card_s, delta, oracle.n, threshold) unlabeled draws
+    and clamped into [-(1-alpha), 1-alpha]."""
+    m = _bias_rows(alpha, card_s, delta, oracle.n, threshold)
+    est = estimate_bias(oracle.draw_batch(m))
     return min(max(est, -(1.0 - alpha)), 1.0 - alpha)
 
 
-def _bias_error(alpha: float, card_s: int, delta: float, n: int) -> float:
+def _bias_error(
+    alpha: float, card_s: int, delta: float, n: int, threshold: float | None = None
+) -> float:
     """Accuracy, at confidence 1 - delta, of _clamped_bias_estimate's bias at
-    the same (alpha, card_s, delta) on n columns: the Hoeffding radius
-    sqrt(2 ln(2/delta) / (m n)) of the mean of the m * n pooled entries of
-    its m = _bias_rows(alpha, card_s, delta) rows.  The clamp only moves an
-    estimate toward a bias that keeps the promise."""
-    m = _bias_rows(alpha, card_s, delta)
+    the same (alpha, card_s, delta, threshold) on n columns: the Hoeffding
+    radius sqrt(2 ln(2/delta) / (m n)) of the mean of the m * n pooled
+    entries of its m = _bias_rows(alpha, card_s, delta, n, threshold) rows.
+    The clamp only moves an estimate toward a bias that keeps the promise."""
+    m = _bias_rows(alpha, card_s, delta, n, threshold)
     return math.sqrt(2.0 * math.log(2.0 / delta) / (m * n))
 
 

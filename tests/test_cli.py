@@ -588,6 +588,32 @@ def test_sample_size_overflow_exits_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "threshold, code, samples",
+    [
+        # one bias row is enough at an infinite threshold, and the scan
+        # certifies nothing
+        ("inf", 1, None),
+        # eps would underflow, so the bias phase keeps its per-coordinate count
+        ("1e-300", 0, {"oracle_0": 5031, "oracle_1": 3140}),
+    ],
+)
+def test_unknown_bias_count_at_extreme_thresholds(tmp_path, capsys, threshold, code, samples):
+    fn, report = tmp_path / "f.json", tmp_path / "report.json"
+    assert main(["gen", "--n", "10", "--k", "2", "--seed", "5", "--out", str(fn)]) == 0
+    assert main(
+        ["learn", "--fn", str(fn), "--biases=-0.3,0.3", "--k", "2", "--s", "1",
+         "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.1", "--seed", "3",
+         "--samples-per-coeff", "2000", "--threshold", threshold, "--unknown-biases",
+         "--report", str(report)]
+    ) == code
+    assert capsys.readouterr().err == ""
+    got = json.loads(report.read_text())
+    assert got["status"] == ("ExactSuccess" if code == 0 else "BudgetExhausted")
+    if samples is not None:
+        assert got["samples"] == samples
+
+
 @pytest.mark.parametrize("command", ["learn", "russo-check"])
 def test_unparsable_bias_list_exits_2(and2_12_path, tmp_path, capsys, command):
     out = tmp_path / "out"

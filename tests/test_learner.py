@@ -33,7 +33,7 @@ from juntalab import (
     random_junta,
     sigma,
 )
-from juntalab import learner
+from juntalab import learner, sampling
 from juntalab.fourier import biased_coefficient
 from juntalab.learner import _bias_slack, _slack
 
@@ -788,3 +788,25 @@ class TestLearnJunta:
             if report.status is LearnStatus.EXACT_SUCCESS and report.relevant == (7, 23):
                 wins += 1
         assert wins >= 2
+
+    def test_bias_phase_is_sized_by_the_threshold(self, and2_50):
+        # the bias phase draws the rows that hold beta_1 to a quarter of the
+        # threshold on 50 pooled columns, fewer than one coordinate's count,
+        # and the scan's eps reads the same count
+        p = params_for(
+            2, 1, 0.5, samples_per_coeff=20_000, threshold=0.05, unknown_biases=True
+        )
+        delta = p.delta / (2 * 2**2)
+        m = sampling._bias_rows(0.5, 1, delta, 50, 0.05)
+        assert m < sampling._bias_rows(0.5, 1, delta, 50)
+        oracles = [
+            Oracle(and2_50, r, master_seed=0, oracle_id=j) for j, r in enumerate((-0.3, 0.3))
+        ]
+        with mock.patch.object(
+            learner, "_bias_error", wraps=sampling._bias_error
+        ) as bias_error:
+            report = learn_junta(oracles, p)
+        assert report.samples["bias_estimation"] == {0: m, 1: m}
+        assert bias_error.call_args_list
+        for call in bias_error.call_args_list:
+            assert sampling._bias_rows(*call.args) == m

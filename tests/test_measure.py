@@ -153,11 +153,12 @@ class TestSampling:
         # the seeded streams that record, replay and the release gate rely on,
         # read entry by entry: block by block, one raw byte per entry, then one
         # uniform per tie, with every comparison made in exact rationals.  At
-        # r = 0 and 0.5, 256 p is an integer and every tie gives -1; at
+        # r = 0, +-0.5 and 0.75 (a = 128, 192, 64, 224), 256 p is an integer:
+        # every tie gives -1 and its uniform is drawn but not read.  At
         # r = -0.999 every +1 comes from a tie.
         rows = block_rows(n)
         m = 2 * rows + rows // 3 + 1
-        for r in (0.0, 0.5, 0.25, -0.4, -0.9, 0.999, -0.999):
+        for r in (0.0, 0.5, -0.5, 0.75, 0.25, -0.4, -0.9, 0.999, -0.999):
             rng = np.random.default_rng(21)
             got = sample_batch(r, rng, m, n)
             want, state = _reference_stream(r, 21, m, n)
@@ -165,6 +166,19 @@ class TestSampling:
             assert np.array_equal(got, want)
             # the ragged last block is drawn whole, its dropped ties included
             assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_split_oracle_draw_equals_one_draw(self, r):
+        # at a tie-free bias, three calls, the last two served first from the
+        # carried tail (sample_batch's head), read the one stream a single
+        # call reads
+        f = Junta(9, (2, 7), (1, -1, -1, 1))
+        rows = block_rows(f.n)
+        split = Oracle(f, r, master_seed=4, oracle_id=1)
+        parts = [split.draw_batch(m).xs for m in (rows // 3, rows, rows)]
+        whole = Oracle(f, r, master_seed=4, oracle_id=1)
+        assert np.array_equal(np.concatenate(parts), whole.draw_batch(split.draws).xs)
+        assert split._rng.bit_generator.state == whole._rng.bit_generator.state
 
     def test_working_memory(self):
         # beyond its int8 output the sampler holds one block of bytes and

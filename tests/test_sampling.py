@@ -620,6 +620,41 @@ class TestUnknownBias:
         assert eps == math.sqrt(2.0 * math.log(2.0 / 0.1) / (100 * par3_wide.n))
 
 
+class TestBiasRows:
+    def test_release_gate_setting(self):
+        # criterion 8(d): n = 100, alpha = 0.5, s = 1, step delta 0.1 / 24,
+        # threshold 0.05; eps = 0.05 sigma(0.5) / 4 at level 1
+        delta = 0.1 / 24
+        gamma_rows = bias_sample_size(unknown_bias_accuracy(0.5, 1), delta)
+        assert gamma_rows == 3516
+        assert sampling._bias_rows(0.5, 1, delta, 100) == gamma_rows
+        assert sampling._bias_rows(0.5, 1, delta, 100, 0.05) == 1054
+        eps = sampling._bias_error(0.5, 1, delta, 100, 0.05)
+        assert eps == pytest.approx(0.0108, abs=1e-4)
+
+    def test_count_is_clipped_and_keeps_beta_within_a_quarter_threshold(self):
+        inf = float("inf")
+        for alpha in (0.05, 0.3, 0.5, 0.9, 1.0):
+            for s in (1, 2, 3, 4):
+                for delta in (1e-6, 0.1 / 24, 0.1):
+                    gamma_rows = bias_sample_size(unknown_bias_accuracy(alpha, s), delta)
+                    for n in (1, 20, 100, 10_000):
+                        for threshold in (1e-300, 1e-6, 1e-3, 0.05, 0.5, 1.0, 1e300, inf):
+                            m = sampling._bias_rows(alpha, s, delta, n, threshold)
+                            assert isinstance(m, int)
+                            assert 1 <= m <= gamma_rows
+                            if 1 < m < gamma_rows:
+                                # _bias_slack's beta_s, summed without its
+                                # cancellation at small eps
+                                eps = sampling._bias_error(alpha, s, delta, n, threshold)
+                                beta = math.expm1(s * math.log1p(eps)) / sigma(1.0 - alpha) ** s
+                                assert beta <= threshold / 4 * (1 + 1e-12), (alpha, s, n)
+                        # a threshold too small for the rule, or too large to
+                        # need more than a row
+                        assert sampling._bias_rows(alpha, s, delta, n, 1e-300) == gamma_rows
+                        assert sampling._bias_rows(alpha, s, delta, n, inf) == 1
+
+
 class TestHoeffdingCalibration:
     def test_failure_rate_within_delta(self):
         eps, delta = 0.1, 0.05
